@@ -1,5 +1,6 @@
-//! `bench6-vectorized` — the vectorized columnar executor vs the
-//! row-at-a-time baseline, plus the statement-templating plan-cache gates.
+//! `bench6-vectorized` — the columnar batch executor at its profile batch
+//! size vs the same executor at batch size 1 (the row-at-a-time baseline),
+//! plus the statement-templating plan-cache gates.
 //!
 //! Three sections, emitted together as `results/BENCH_6.json`:
 //!
@@ -10,8 +11,8 @@
 //!    target is ≥2× per-statement speedup with byte-identical results.
 //! 2. **Workloads** — fig4-style PageRank / SSSP / descendant-query runs
 //!    at ≥10× the BENCH_5 scale, each oracle-checked in all four modes
-//!    (single, sync, async, async-prio) with the vectorized pipeline on,
-//!    and timed row vs batch per round in single and sync modes.
+//!    (single, sync, async, async-prio) at the profile batch size, and
+//!    timed row vs batch per round in sync mode.
 //! 3. **Plan cache** — with generation-stable message-slot templating the
 //!    parallel schedulers must hold a >90% plan-cache hit rate and parse
 //!    *less than one statement per marginal round* in sync, async and
@@ -111,11 +112,17 @@ fn load_big(db: &Database, nrows: usize) {
     }
 }
 
+/// The batch-size override of a timed mode: the profile default when
+/// `batched`, else one row per batch (the row-at-a-time baseline).
+fn batch_size(batched: bool) -> Option<usize> {
+    (!batched).then_some(1)
+}
+
 /// Times `sql` in both execution modes; the first run of each mode warms
 /// the plan cache and is discarded.
 fn time_modes(db: &Database, sql: &str, iters: usize) -> (f64, f64, bool) {
-    let run = |vectorized: bool| {
-        db.set_vectorized(vectorized);
+    let run = |batched: bool| {
+        db.set_batch_size(batch_size(batched));
         let mut conn = db.connect();
         let reference = conn.query(sql).expect("hot loop").rows;
         let mut total = 0.0;
@@ -128,7 +135,7 @@ fn time_modes(db: &Database, sql: &str, iters: usize) -> (f64, f64, bool) {
     };
     let (row_ms, row_rows) = run(false);
     let (batch_ms, batch_rows) = run(true);
-    db.set_vectorized(true);
+    db.set_batch_size(None);
     (row_ms, batch_ms, row_rows == batch_rows)
 }
 
@@ -210,19 +217,19 @@ fn run_mode(
     query: &str,
     mode: ExecutionMode,
     partitions: usize,
-    vectorized: bool,
+    batched: bool,
 ) -> ExecutionReport {
     let env = env_with_graph(EngineProfile::Postgres, graph);
-    env.db.set_vectorized(vectorized);
+    env.db.set_batch_size(batch_size(batched));
     let sq = env.sqloop(config(mode, partitions));
     sq.execute_detailed(query).expect("workload run")
 }
 
 /// Per-round time of the sync scheduler, the mode whose Compute/Gather
 /// round structure matches the paper's Fig. 3 inner loop.
-fn per_round_ms(graph: &graphgen::Graph, query: &str, partitions: usize, vectorized: bool) -> f64 {
+fn per_round_ms(graph: &graphgen::Graph, query: &str, partitions: usize, batched: bool) -> f64 {
     let (report, elapsed) =
-        time_it(|| run_mode(graph, query, ExecutionMode::Sync, partitions, vectorized));
+        time_it(|| run_mode(graph, query, ExecutionMode::Sync, partitions, batched));
     elapsed.as_secs_f64() * 1e3 / report.iterations.max(1) as f64
 }
 
@@ -436,7 +443,7 @@ fn main() {
         }
     }
 
-    println!("== BENCH_6: vectorized executor vs row baseline ==\n");
+    println!("== BENCH_6: batch executor vs batch-size-1 baseline ==\n");
     println!("executor hot loops ({hot_rows} rows, mean of {hot_iters}):");
     let hot = hot_loops(hot_rows, hot_iters);
     let min_speedup = hot

@@ -5,7 +5,7 @@
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::{DataMode, Termination};
 use crate::translate::{translate_query_to_sql, translate_sql};
-use dbcp::{Connection, PreparedStatement};
+use dbcp::{Connection, Driver, PreparedStatement};
 use obs::{EventKind, TraceHandle};
 use sqldb::ast::{SelectStmt, SetExpr, TableFactor};
 use sqldb::{DataType, DbError, EngineProfile, StmtOutput, Value};
@@ -67,36 +67,41 @@ impl CteNames {
     }
 }
 
-/// Per-round plan-cache attribution: snapshots the process-wide
-/// `sqldb.plan_cache.hit`/`.miss` counters at each round boundary and emits
-/// one [`EventKind::PlanCache`] trace event carrying the round's deltas,
-/// tagged with the scheduler mode. This makes "where do the parallel-mode
-/// cache misses come from" answerable round by round from the trace,
-/// without guessing from end-of-run totals.
+/// Per-round plan-cache attribution: snapshots the run's own engine
+/// plan-cache counters ([`Driver::plan_cache_stats`]) at each round
+/// boundary and emits one [`EventKind::PlanCache`] trace event carrying the
+/// round's deltas, tagged with the scheduler mode. This makes "where do the
+/// parallel-mode cache misses come from" answerable round by round from
+/// the trace, without guessing from end-of-run totals.
 ///
-/// The counters are process-wide, so concurrent runs in one process blur
-/// each other's deltas — fine for the CLI and bench harness, which run one
-/// loop at a time.
-#[derive(Debug)]
+/// The counters belong to the engine the run talks to, so runs on other
+/// engines in the same process never leak into the deltas. A driver that
+/// cannot see its engine's counters (TCP: they live in the server process)
+/// gets a probe that emits nothing rather than a process-wide figure.
+#[derive(Default)]
 pub struct PlanCacheProbe {
-    hit: Arc<obs::Counter>,
-    miss: Arc<obs::Counter>,
-    last_hit: u64,
-    last_miss: u64,
+    driver: Option<Arc<dyn Driver>>,
+    last: (u64, u64),
+}
+
+impl std::fmt::Debug for PlanCacheProbe {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PlanCacheProbe")
+            .field("observable", &self.driver.is_some())
+            .field("last", &self.last)
+            .finish()
+    }
 }
 
 impl PlanCacheProbe {
-    /// Starts a probe at the counters' current values.
-    pub fn new() -> PlanCacheProbe {
-        let reg = obs::global();
-        let hit = reg.counter("sqldb.plan_cache.hit");
-        let miss = reg.counter("sqldb.plan_cache.miss");
-        let (last_hit, last_miss) = (hit.get(), miss.get());
-        PlanCacheProbe {
-            hit,
-            miss,
-            last_hit,
-            last_miss,
+    /// Starts a probe at the current counters of `driver`'s engine.
+    pub fn new(driver: &Arc<dyn Driver>) -> PlanCacheProbe {
+        match driver.plan_cache_stats() {
+            Some(s) => PlanCacheProbe {
+                driver: Some(Arc::clone(driver)),
+                last: (s.hits, s.misses),
+            },
+            None => PlanCacheProbe::default(),
         }
     }
 
@@ -105,10 +110,11 @@ impl PlanCacheProbe {
     /// baseline always advances, so enabling the trace mid-run starts
     /// from current values rather than replaying history.
     pub fn tick(&mut self, trace: &TraceHandle, round: u64, mode: &str) {
-        let (hit, miss) = (self.hit.get(), self.miss.get());
-        let (dh, dm) = (hit - self.last_hit, miss - self.last_miss);
-        self.last_hit = hit;
-        self.last_miss = miss;
+        let Some(s) = self.driver.as_ref().and_then(|d| d.plan_cache_stats()) else {
+            return;
+        };
+        let (dh, dm) = (s.hits - self.last.0, s.misses - self.last.1);
+        self.last = (s.hits, s.misses);
         if !trace.is_enabled() {
             return;
         }
@@ -119,12 +125,6 @@ impl PlanCacheProbe {
             Some(round),
             format!("mode={mode} hits={dh} misses={dm} hit_rate={pct}%"),
         );
-    }
-}
-
-impl Default for PlanCacheProbe {
-    fn default() -> PlanCacheProbe {
-        PlanCacheProbe::new()
     }
 }
 

@@ -516,7 +516,7 @@ fn run_parallel_inner(
         replacements: 0,
         aborting: false,
         trace,
-        cache_probe: PlanCacheProbe::new(),
+        cache_probe: PlanCacheProbe::new(driver),
         round: start_round + 1,
         cancel: &config.cancel,
         checkpointer,

@@ -124,7 +124,12 @@ fn load_shed_statements_are_retryable_and_work_completes() {
         let driver = driver.clone();
         std::thread::spawn(move || {
             let mut c = driver.connect().unwrap();
-            c.execute_batch(&batch).unwrap();
+            // the batch itself may be shed while a reader holds the slot;
+            // admission is per request, so a shed batch ran nothing and a
+            // retry cannot double-insert
+            RetryPolicy::new(50, Duration::from_millis(1))
+                .run(|_| c.execute_batch(&batch))
+                .unwrap();
         })
     };
 

@@ -1,18 +1,19 @@
-//! Columnar batches and compiled expression kernels — the vectorized
-//! executor's data plane.
+//! Columnar batches and compiled expression kernels — the executor's data
+//! plane.
 //!
-//! The row executor walks a [`BoundExpr`] tree once per row, paying an enum
-//! match and a `Value` clone per node per row (the interpretation overhead
-//! Neumann's compilation paper targets). The vectorized executor instead
-//! compiles each bound expression **once per statement** into a [`Kernel`]
-//! and evaluates it over [`ColumnBatch`]es: typed column vectors (`Vec<i64>`
-//! / `Vec<f64>` / …) with a validity bitmap, so the hot loops are plain
-//! slices of machine types.
+//! Walking a [`BoundExpr`] tree once per row pays an enum match and a
+//! `Value` clone per node per row (the interpretation overhead Neumann's
+//! compilation paper targets). The executor instead compiles each bound
+//! expression **once per statement** into a [`Kernel`] and evaluates it over
+//! [`ColumnBatch`]es: typed column vectors (`Vec<i64>` / `Vec<f64>` / …)
+//! with a validity bitmap, so the hot loops are plain slices of machine
+//! types.
 //!
 //! # Semantics contract
 //!
-//! The batch path must be observationally identical to the row path —
-//! results, row order, *and* errors. Three rules deliver that:
+//! Kernels must be observationally identical to the row evaluator
+//! ([`BoundExpr::eval`]) — results, row order, *and* errors — so a batch of
+//! one row behaves exactly like a batch of 4096. Three rules deliver that:
 //!
 //! 1. Kernels replicate `Value` semantics exactly: comparisons use
 //!    `f64::total_cmp` (NaN-aware, `-0.0 < 0.0`), integer arithmetic stays
@@ -22,14 +23,48 @@
 //!    evaluation so short-circuiting still suppresses right-side errors.
 //! 3. If a kernel errors anywhere in a batch, the driver re-evaluates that
 //!    batch row-by-row with the original [`BoundExpr`] — rows are stored in
-//!    order, so the rerun surfaces exactly the row path's first error (or
-//!    succeeds, for errors the row path would have skipped).
+//!    order, so the rerun surfaces exactly the row evaluator's first error
+//!    (or succeeds, for errors it would have skipped).
 
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::bind::BoundExpr;
 use crate::error::{DbError, DbResult};
 use crate::value::{Row, Value};
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+/// The lane index a join match list uses for "no row": gathering it yields
+/// a NULL lane (the padding side of a `LEFT JOIN`).
+pub const NULL_LANE: u32 = u32::MAX;
+
+/// Multiply-xorshift hasher for `i64` keys (single-INT-key aggregation and
+/// typed hash joins). The default SipHash dominates the per-lane cost at
+/// this key width; keys are not attacker-controlled hash-flood targets, so
+/// a two-op mix is enough.
+#[derive(Debug, Default)]
+pub struct IntKeyHasher(u64);
+
+impl std::hash::Hasher for IntKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_i64(&mut self, i: i64) {
+        let mut h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= h >> 32;
+        self.0 = h;
+    }
+}
+
+/// A hash map keyed by `i64` through [`IntKeyHasher`].
+pub type IntMap<V> = HashMap<i64, V, BuildHasherDefault<IntKeyHasher>>;
 
 /// Typed payload of one column in a batch. Lanes whose validity bit is
 /// clear hold an arbitrary placeholder and must never be read as data.
@@ -56,10 +91,11 @@ pub struct Col {
 }
 
 impl Col {
-    /// A column of `len` NULLs.
+    /// A column of `len` NULLs (two zeroed allocations; also the
+    /// placeholder for columns a statement never reads).
     pub fn nulls(len: usize) -> Col {
         Col {
-            data: ColData::Mixed(vec![Value::Null; len]),
+            data: ColData::Bool(vec![false; len]),
             valid: vec![false; len],
         }
     }
@@ -141,19 +177,57 @@ impl Col {
         Col { data, valid }
     }
 
-    /// Keeps only the lanes whose `keep` flag is set.
-    pub fn compact(&self, keep: &[bool]) -> Col {
-        let pick = |i: &usize| keep[*i];
-        let idx: Vec<usize> = (0..self.len()).filter(pick).collect();
-        let valid = idx.iter().map(|&i| self.valid[i]).collect();
+    /// Picks lanes by index, in `idx` order; [`NULL_LANE`] yields a NULL
+    /// lane. The typed layout is kept.
+    pub fn gather(&self, idx: &[u32]) -> Col {
+        fn pick<T: Clone>(v: &[T], idx: &[u32], pad: T) -> Vec<T> {
+            idx.iter()
+                .map(|&i| v.get(i as usize).cloned().unwrap_or_else(|| pad.clone()))
+                .collect()
+        }
+        let valid = idx
+            .iter()
+            .map(|&i| self.valid.get(i as usize).copied().unwrap_or(false))
+            .collect();
         let data = match &self.data {
-            ColData::Int(v) => ColData::Int(idx.iter().map(|&i| v[i]).collect()),
-            ColData::Float(v) => ColData::Float(idx.iter().map(|&i| v[i]).collect()),
-            ColData::Bool(v) => ColData::Bool(idx.iter().map(|&i| v[i]).collect()),
-            ColData::Mixed(v) => ColData::Mixed(idx.iter().map(|&i| v[i].clone()).collect()),
+            ColData::Int(v) => ColData::Int(pick(v, idx, 0)),
+            ColData::Float(v) => ColData::Float(pick(v, idx, 0.0)),
+            ColData::Bool(v) => ColData::Bool(pick(v, idx, false)),
+            ColData::Mixed(v) => ColData::Mixed(pick(v, idx, Value::Null)),
         };
         Col { data, valid }
     }
+
+    /// Keeps only the lanes whose `keep` flag is set.
+    pub fn compact(&self, keep: &[bool]) -> Col {
+        self.gather(&kept_lanes(keep))
+    }
+
+    /// Heap bytes held by the column (what the memory budget is charged).
+    pub fn heap_bytes(&self) -> u64 {
+        let n = self.len();
+        let data = match &self.data {
+            ColData::Int(_) | ColData::Float(_) => 8 * n,
+            ColData::Bool(_) => n,
+            ColData::Mixed(v) => {
+                v.len() * std::mem::size_of::<Value>()
+                    + v.iter()
+                        .map(|x| match x {
+                            Value::Text(t) => t.len(),
+                            _ => 0,
+                        })
+                        .sum::<usize>()
+            }
+        };
+        (n + data) as u64
+    }
+}
+
+/// The indices of the set flags, as gather lanes.
+fn kept_lanes(keep: &[bool]) -> Vec<u32> {
+    (0..keep.len() as u32)
+        .filter(|&i| keep[i as usize])
+        .collect()
 }
 
 /// A fixed-size batch of rows in columnar layout.
@@ -192,23 +266,19 @@ impl ColumnBatch {
         ColumnBatch { len, cols }
     }
 
-    /// Splits row-major data into batches of at most `batch_size` rows.
+    /// Splits row-major data into batches of at most `batch_size` rows (a
+    /// derived table's or view's result entering a `FROM`).
     pub fn chunk_rows(rows: Vec<Row>, arity: usize, batch_size: usize) -> Vec<ColumnBatch> {
         let batch_size = batch_size.max(1);
         let mut out = Vec::with_capacity(rows.len() / batch_size + 1);
-        if rows.is_empty() {
-            return out;
+        let mut rows = rows.into_iter().peekable();
+        while rows.peek().is_some() {
+            out.push(ColumnBatch::from_rows(
+                rows.by_ref().take(batch_size).collect(),
+                arity,
+            ));
         }
-        let mut rest = rows;
-        loop {
-            if rest.len() <= batch_size {
-                out.push(ColumnBatch::from_rows(rest, arity));
-                return out;
-            }
-            let tail = rest.split_off(batch_size);
-            out.push(ColumnBatch::from_rows(rest, arity));
-            rest = tail;
-        }
+        out
     }
 
     /// Number of rows in the batch.
@@ -245,11 +315,32 @@ impl ColumnBatch {
 
     /// Keeps only the lanes whose `keep` flag is set.
     pub fn compact(&self, keep: &[bool]) -> ColumnBatch {
-        let len = keep.iter().filter(|k| **k).count();
+        let idx = kept_lanes(keep);
         ColumnBatch {
-            len,
-            cols: self.cols.iter().map(|c| c.compact(keep)).collect(),
+            len: idx.len(),
+            cols: self.cols.iter().map(|c| c.gather(&idx)).collect(),
         }
+    }
+
+    /// Gathers lanes by index ([`NULL_LANE`] → NULL) from the columns whose
+    /// `needed` flag is set; the others become NULL placeholders.
+    pub fn gather(&self, idx: &[u32], needed: &[bool]) -> Vec<Col> {
+        self.cols
+            .iter()
+            .zip(needed)
+            .map(|(c, &n)| {
+                if n {
+                    c.gather(idx)
+                } else {
+                    Col::nulls(idx.len())
+                }
+            })
+            .collect()
+    }
+
+    /// Heap bytes held by the batch's columns.
+    pub fn heap_bytes(&self) -> u64 {
+        self.cols.iter().map(Col::heap_bytes).sum()
     }
 }
 
@@ -284,18 +375,24 @@ impl EvalOut {
         }
     }
 
+    /// The output column, unless the output is a constant.
+    fn col<'a>(&'a self, batch: &'a ColumnBatch) -> Option<&'a Col> {
+        match self.as_operand(batch) {
+            Operand::Col(c) => Some(c),
+            Operand::Const(_) => None,
+        }
+    }
+
     /// The lanes as a plain `&[i64]` when the output is a fully-valid
     /// `Int` column. The single-key hash aggregate keys directly off this
     /// slice, skipping per-lane `Value` construction; `None` for constants,
     /// other layouts, or any NULL lane.
     pub fn as_int_lanes<'a>(&'a self, batch: &'a ColumnBatch) -> Option<&'a [i64]> {
-        let c = match self {
-            EvalOut::Owned(c) => c,
-            EvalOut::Ref(i) => batch.col(*i),
-            EvalOut::Const(_) => return None,
-        };
-        match &c.data {
-            ColData::Int(v) if c.valid.iter().all(|&ok| ok) => Some(v),
+        match self.col(batch)? {
+            Col {
+                data: ColData::Int(v),
+                valid,
+            } if !valid.contains(&false) => Some(v),
             _ => None,
         }
     }
@@ -304,13 +401,11 @@ impl EvalOut {
     /// `Float` column — same contract as [`EvalOut::as_int_lanes`], used by
     /// the aggregate accumulators to skip per-lane `Value` construction.
     pub fn as_float_lanes<'a>(&'a self, batch: &'a ColumnBatch) -> Option<&'a [f64]> {
-        let c = match self {
-            EvalOut::Owned(c) => c,
-            EvalOut::Ref(i) => batch.col(*i),
-            EvalOut::Const(_) => return None,
-        };
-        match &c.data {
-            ColData::Float(v) if c.valid.iter().all(|&ok| ok) => Some(v),
+        match self.col(batch)? {
+            Col {
+                data: ColData::Float(v),
+                valid,
+            } if !valid.contains(&false) => Some(v),
             _ => None,
         }
     }
@@ -471,7 +566,7 @@ impl Kernel {
             }
             BoundExpr::Binary { left, op, right } => {
                 // eager vectorized AND/OR would evaluate right sides the
-                // row path short-circuits past — only safe when the right
+                // row evaluator short-circuits past — only safe when the right
                 // side cannot error
                 if matches!(op, BinaryOp::And | BinaryOp::Or) && !infallible(right) {
                     count_fallback_node();
@@ -631,114 +726,14 @@ fn cmp_to_bool(op: BinaryOp, o: Ordering) -> bool {
     }
 }
 
-/// Vectorized comparison with [`Value::sql_cmp`] semantics: NULL lanes
-/// compare to NULL, numeric lanes use `total_cmp` (so NaN equals NaN and
-/// `-0.0 < 0.0`, matching the row path exactly).
-fn eval_cmp_cols(op: BinaryOp, lo: &Operand<'_>, ro: &Operand<'_>, n: usize) -> Col {
+/// A boolean column from per-lane comparison outcomes (`None` = NULL).
+fn cmp_lanes(op: BinaryOp, n: usize, lane: impl Fn(usize) -> Option<Ordering>) -> Col {
     let mut data = vec![false; n];
     let mut valid = vec![false; n];
-    // typed fast paths over numeric columns; everything else goes lane-wise
-    // through Value::sql_cmp (identical semantics, just slower)
-    match (lo, ro) {
-        (Operand::Col(a), Operand::Col(b)) => match (&a.data, &b.data) {
-            (ColData::Int(x), ColData::Int(y)) => {
-                for i in 0..n {
-                    if a.valid[i] && b.valid[i] {
-                        valid[i] = true;
-                        data[i] = cmp_to_bool(op, x[i].cmp(&y[i]));
-                    }
-                }
-            }
-            (ColData::Float(x), ColData::Float(y)) => {
-                for i in 0..n {
-                    if a.valid[i] && b.valid[i] {
-                        valid[i] = true;
-                        data[i] = cmp_to_bool(op, x[i].total_cmp(&y[i]));
-                    }
-                }
-            }
-            (ColData::Int(x), ColData::Float(y)) => {
-                for i in 0..n {
-                    if a.valid[i] && b.valid[i] {
-                        valid[i] = true;
-                        data[i] = cmp_to_bool(op, (x[i] as f64).total_cmp(&y[i]));
-                    }
-                }
-            }
-            (ColData::Float(x), ColData::Int(y)) => {
-                for i in 0..n {
-                    if a.valid[i] && b.valid[i] {
-                        valid[i] = true;
-                        data[i] = cmp_to_bool(op, x[i].total_cmp(&(y[i] as f64)));
-                    }
-                }
-            }
-            _ => {
-                for i in 0..n {
-                    if let Some(o) = a.value_at(i).sql_cmp(&b.value_at(i)) {
-                        valid[i] = true;
-                        data[i] = cmp_to_bool(op, o);
-                    }
-                }
-            }
-        },
-        (Operand::Col(a), Operand::Const(k)) | (Operand::Const(k), Operand::Col(a)) => {
-            let flipped = matches!(lo, Operand::Const(_));
-            let ord = |x: Ordering| if flipped { x.reverse() } else { x };
-            if k.is_null() {
-                // all lanes NULL
-            } else {
-                match (&a.data, k) {
-                    (ColData::Int(x), Value::Int(kv)) => {
-                        for i in 0..n {
-                            if a.valid[i] {
-                                valid[i] = true;
-                                data[i] = cmp_to_bool(op, ord(x[i].cmp(kv)));
-                            }
-                        }
-                    }
-                    (ColData::Float(x), Value::Float(kv)) => {
-                        for i in 0..n {
-                            if a.valid[i] {
-                                valid[i] = true;
-                                data[i] = cmp_to_bool(op, ord(x[i].total_cmp(kv)));
-                            }
-                        }
-                    }
-                    (ColData::Int(x), Value::Float(kv)) => {
-                        for i in 0..n {
-                            if a.valid[i] {
-                                valid[i] = true;
-                                data[i] = cmp_to_bool(op, ord((x[i] as f64).total_cmp(kv)));
-                            }
-                        }
-                    }
-                    (ColData::Float(x), Value::Int(kv)) => {
-                        let kf = *kv as f64;
-                        for i in 0..n {
-                            if a.valid[i] {
-                                valid[i] = true;
-                                data[i] = cmp_to_bool(op, ord(x[i].total_cmp(&kf)));
-                            }
-                        }
-                    }
-                    _ => {
-                        for i in 0..n {
-                            if let Some(o) = a.value_at(i).sql_cmp(k) {
-                                valid[i] = true;
-                                data[i] = cmp_to_bool(op, ord(o));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        (Operand::Const(a), Operand::Const(b)) => {
-            if let Some(o) = a.sql_cmp(b) {
-                let v = cmp_to_bool(op, o);
-                data = vec![v; n];
-                valid = vec![true; n];
-            }
+    for i in 0..n {
+        if let Some(o) = lane(i) {
+            valid[i] = true;
+            data[i] = cmp_to_bool(op, o);
         }
     }
     Col {
@@ -747,11 +742,81 @@ fn eval_cmp_cols(op: BinaryOp, lo: &Operand<'_>, ro: &Operand<'_>, n: usize) -> 
     }
 }
 
+/// Vectorized comparison with [`Value::sql_cmp`] semantics: NULL lanes
+/// compare to NULL, numeric lanes use `total_cmp` (so NaN equals NaN and
+/// `-0.0 < 0.0`, matching the row evaluator exactly).
+fn eval_cmp_cols(op: BinaryOp, lo: &Operand<'_>, ro: &Operand<'_>, n: usize) -> Col {
+    // typed fast paths over numeric columns; everything else goes lane-wise
+    // through Value::sql_cmp (identical semantics, just slower)
+    match (lo, ro) {
+        (Operand::Col(a), Operand::Col(b)) => {
+            let ok = |i: usize| a.valid[i] && b.valid[i];
+            match (&a.data, &b.data) {
+                (ColData::Int(x), ColData::Int(y)) => {
+                    cmp_lanes(op, n, |i| ok(i).then(|| x[i].cmp(&y[i])))
+                }
+                (ColData::Float(x), ColData::Float(y)) => {
+                    cmp_lanes(op, n, |i| ok(i).then(|| x[i].total_cmp(&y[i])))
+                }
+                (ColData::Int(x), ColData::Float(y)) => {
+                    cmp_lanes(op, n, |i| ok(i).then(|| (x[i] as f64).total_cmp(&y[i])))
+                }
+                (ColData::Float(x), ColData::Int(y)) => {
+                    cmp_lanes(op, n, |i| ok(i).then(|| x[i].total_cmp(&(y[i] as f64))))
+                }
+                _ => cmp_lanes(op, n, |i| a.value_at(i).sql_cmp(&b.value_at(i))),
+            }
+        }
+        (Operand::Col(a), Operand::Const(k)) | (Operand::Const(k), Operand::Col(a)) => {
+            let flipped = matches!(lo, Operand::Const(_));
+            let ord = |x: Ordering| if flipped { x.reverse() } else { x };
+            let ok = |i: usize| a.valid[i];
+            match (&a.data, k) {
+                (ColData::Int(x), Value::Int(kv)) => {
+                    cmp_lanes(op, n, |i| ok(i).then(|| ord(x[i].cmp(kv))))
+                }
+                (ColData::Float(x), Value::Float(kv)) => {
+                    cmp_lanes(op, n, |i| ok(i).then(|| ord(x[i].total_cmp(kv))))
+                }
+                (ColData::Int(x), Value::Float(kv)) => {
+                    cmp_lanes(op, n, |i| ok(i).then(|| ord((x[i] as f64).total_cmp(kv))))
+                }
+                (ColData::Float(x), Value::Int(kv)) => {
+                    let kf = *kv as f64;
+                    cmp_lanes(op, n, |i| ok(i).then(|| ord(x[i].total_cmp(&kf))))
+                }
+                // a NULL constant makes every lane NULL here
+                _ => cmp_lanes(op, n, |i| a.value_at(i).sql_cmp(k).map(ord)),
+            }
+        }
+        (Operand::Const(a), Operand::Const(b)) => {
+            let o = a.sql_cmp(b);
+            cmp_lanes(op, n, |_| o)
+        }
+    }
+}
+
+/// A FLOAT column from per-lane results (`None` = NULL).
+fn float_lanes(n: usize, lane: impl Fn(usize) -> Option<f64>) -> EvalOut {
+    let mut data = vec![0.0f64; n];
+    let mut valid = vec![false; n];
+    for i in 0..n {
+        if let Some(v) = lane(i) {
+            valid[i] = true;
+            data[i] = v;
+        }
+    }
+    EvalOut::Owned(Col {
+        data: ColData::Float(data),
+        valid,
+    })
+}
+
 /// Vectorized arithmetic. Pure-float lane combinations run as raw `f64`
-/// loops (IEEE semantics, infallible — identical to the row path's float
-/// promotion); anything involving integers, text, or mixed lanes calls the
-/// checked `Value` operators lane-wise so overflow/div-by-zero/type errors
-/// keep their exact row-path messages.
+/// loops (IEEE semantics, infallible — identical to the row evaluator's
+/// float promotion); anything involving integers, text, or mixed lanes
+/// calls the checked `Value` operators lane-wise so overflow/div-by-zero/
+/// type errors keep their exact row-evaluator messages.
 fn eval_arith_cols(
     op: BinaryOp,
     lo: &Operand<'_>,
@@ -768,55 +833,22 @@ fn eval_arith_cols(
             _ => unreachable!(),
         }
     };
-    // float ⊗ float fast path
-    if let (Operand::Col(a), Operand::Col(b)) = (lo, ro) {
-        if let (ColData::Float(x), ColData::Float(y)) = (&a.data, &b.data) {
-            let mut data = vec![0.0f64; n];
-            let mut valid = vec![false; n];
-            for i in 0..n {
-                if a.valid[i] && b.valid[i] {
-                    valid[i] = true;
-                    data[i] = float_op(x[i], y[i]);
-                }
-            }
-            return Ok(EvalOut::Owned(Col {
-                data: ColData::Float(data),
-                valid,
-            }));
-        }
-    }
-    // float ⊗ float-constant fast paths
+    // float ⊗ float and float ⊗ float-constant fast paths
     match (lo, ro) {
+        (Operand::Col(a), Operand::Col(b)) => {
+            if let (ColData::Float(x), ColData::Float(y)) = (&a.data, &b.data) {
+                let ok = |i: usize| a.valid[i] && b.valid[i];
+                return Ok(float_lanes(n, |i| ok(i).then(|| float_op(x[i], y[i]))));
+            }
+        }
         (Operand::Col(a), Operand::Const(Value::Float(k))) => {
             if let ColData::Float(x) = &a.data {
-                let mut data = vec![0.0f64; n];
-                let mut valid = vec![false; n];
-                for i in 0..n {
-                    if a.valid[i] {
-                        valid[i] = true;
-                        data[i] = float_op(x[i], *k);
-                    }
-                }
-                return Ok(EvalOut::Owned(Col {
-                    data: ColData::Float(data),
-                    valid,
-                }));
+                return Ok(float_lanes(n, |i| a.valid[i].then(|| float_op(x[i], *k))));
             }
         }
         (Operand::Const(Value::Float(k)), Operand::Col(b)) => {
             if let ColData::Float(y) = &b.data {
-                let mut data = vec![0.0f64; n];
-                let mut valid = vec![false; n];
-                for i in 0..n {
-                    if b.valid[i] {
-                        valid[i] = true;
-                        data[i] = float_op(*k, y[i]);
-                    }
-                }
-                return Ok(EvalOut::Owned(Col {
-                    data: ColData::Float(data),
-                    valid,
-                }));
+                return Ok(float_lanes(n, |i| b.valid[i].then(|| float_op(*k, y[i]))));
             }
         }
         _ => {}
@@ -903,27 +935,22 @@ impl CompiledExpr {
         }
     }
 
-    /// The original bound expression.
-    pub fn expr(&self) -> &BoundExpr {
-        &self.expr
-    }
-
     /// Evaluates the kernel only, with *no* row-wise rerun on error. Phases
     /// that evaluate several expressions per batch (projection, grouping)
     /// use this and fall back to row-wise evaluation of the whole batch
-    /// themselves, so cross-expression error ordering matches the row path.
+    /// themselves, so cross-expression error ordering matches the row evaluator.
     ///
     /// # Errors
     /// May over-approximate: an error here can come from a lane/branch the
-    /// row path would never evaluate. Callers must rerun row-wise.
+    /// row evaluator would never evaluate. Callers must rerun row-wise.
     pub fn try_eval(&self, batch: &ColumnBatch) -> DbResult<EvalOut> {
         self.kernel.eval(batch)
     }
 
-    /// Evaluates over one batch with exact row-path semantics: if the
+    /// Evaluates over one batch with exact row-evaluator semantics: if the
     /// vectorized kernel errors anywhere in the batch, the batch is
     /// re-evaluated row-by-row in order, which either reproduces the row
-    /// path's first error exactly or succeeds where eager evaluation
+    /// evaluator's first error exactly or succeeds where eager evaluation
     /// over-approximated (e.g. an error in an untaken CASE branch).
     ///
     /// # Errors
@@ -1109,7 +1136,7 @@ mod tests {
 
     #[test]
     fn and_with_fallible_right_side_short_circuits_like_rows() {
-        // b != 0 AND 10 / b > 1 — the row path never divides where b = 0;
+        // b != 0 AND 10 / b > 1 — the row evaluator never divides where b = 0;
         // the kernel must compile this to a row-wise fallback, not error
         let guard = BoundExpr::Binary {
             left: Box::new(BoundExpr::Column(0)),
@@ -1208,6 +1235,22 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.col(0).value_at(0), Value::Int(1));
         assert_eq!(c.col(0).value_at(1), Value::Int(3));
+    }
+
+    #[test]
+    fn gather_pads_null_lanes_and_keeps_typed_layout() {
+        let b = batch_1col(vec![Value::Int(1), Value::Null, Value::Int(3)]);
+        let cols = b.gather(&[2, NULL_LANE, 0, 1], &[true]);
+        assert!(matches!(cols[0].data, ColData::Int(_)));
+        let got: Vec<Value> = (0..4).map(|i| cols[0].value_at(i)).collect();
+        assert_eq!(
+            got,
+            vec![Value::Int(3), Value::Null, Value::Int(1), Value::Null]
+        );
+        // an unread column is an all-NULL placeholder of the right length
+        let skipped = b.gather(&[0, 2], &[false]);
+        assert_eq!(skipped[0].len(), 2);
+        assert_eq!(skipped[0].value_at(1), Value::Null);
     }
 
     #[test]

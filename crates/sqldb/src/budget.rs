@@ -4,9 +4,10 @@
 //! same estimator ([`row_bytes`]) is used for charges and refunds, so the
 //! tracked total returns to zero when all tracked rows are gone. The
 //! budget is enforced at the charge sites in `storage.rs` (row inserts
-//! and in-place growth) and `exec.rs` (intermediate materialization), and
-//! a failed charge surfaces as [`DbError::BudgetExceeded`] so the
-//! statement rolls back atomically and refunds everything it charged.
+//! and in-place growth) and `exec.rs`/`join.rs` (intermediate
+//! materialization), and a failed charge surfaces as
+//! [`DbError::BudgetExceeded`] so the statement rolls back atomically and
+//! refunds everything it charged.
 
 use crate::error::{DbError, DbResult};
 use crate::value::Value;
@@ -28,13 +29,6 @@ pub fn row_bytes(row: &[Value]) -> u64 {
         };
     }
     n
-}
-
-/// Rough estimate for `nrows` materialized rows of width `arity`, used
-/// where walking every value would cost more than the materialization
-/// itself (joins, WHERE outputs).
-pub fn approx_rows_bytes(nrows: usize, arity: usize) -> u64 {
-    (nrows as u64) * (ROW_OVERHEAD + 16 * arity as u64)
 }
 
 /// An atomic byte-accounting budget with an optional hard limit.
@@ -133,8 +127,8 @@ impl MemoryBudget {
     }
 
     /// Charges `bytes` and returns a guard that refunds them on drop —
-    /// used for transient materializations (join/filter outputs) whose
-    /// lifetime is one statement.
+    /// used for transient materializations (scans, join match lists and
+    /// outputs) whose lifetime is one statement.
     ///
     /// # Errors
     /// Returns [`DbError::BudgetExceeded`] when the charge would cross
@@ -170,6 +164,20 @@ impl MemoryBudget {
 pub struct Reservation {
     budget: Arc<MemoryBudget>,
     bytes: u64,
+}
+
+impl Reservation {
+    /// Charges `bytes` more to this reservation; they are refunded with the
+    /// rest when it drops.
+    ///
+    /// # Errors
+    /// Returns [`DbError::BudgetExceeded`] when the charge would cross the
+    /// limit (the reservation keeps its previous size).
+    pub fn grow(&mut self, bytes: u64) -> DbResult<()> {
+        self.budget.charge(bytes)?;
+        self.bytes += bytes;
+        Ok(())
+    }
 }
 
 impl Drop for Reservation {
@@ -226,7 +234,6 @@ mod tests {
         let small = row_bytes(&[Value::Int(1), Value::Null]);
         let big = row_bytes(&[Value::Int(1), Value::Text("x".repeat(1000))]);
         assert!(big > small + 900);
-        assert_eq!(approx_rows_bytes(10, 2), 10 * (24 + 32));
     }
 
     #[test]

@@ -40,12 +40,9 @@ struct Shared {
     digests: DigestStats,
     slow: SlowLog,
     profiling: AtomicBool,
-    /// Whether queries run on the vectorized batch pipeline (`true`, the
-    /// default) or the row-at-a-time baseline.
-    vectorized: AtomicBool,
-    /// Rows-per-batch override for the vectorized pipeline (0 = use the
-    /// profile default). Results are identical at any size; the
-    /// equivalence suite exercises 1/3/default/4096.
+    /// Rows-per-batch override for the executor (0 = use the profile
+    /// default). Results are identical at any size; the equivalence suite
+    /// compares size 1 (row at a time) with 3/default/4096.
     batch_size: AtomicU64,
     /// Armed panic-injection probe: `(table-name substring, shots left)`.
     panic_probe: Mutex<Option<(String, u64)>>,
@@ -88,7 +85,6 @@ impl Database {
                 digests: DigestStats::new(),
                 slow: SlowLog::default(),
                 profiling: AtomicBool::new(false),
-                vectorized: AtomicBool::new(true),
                 batch_size: AtomicU64::new(0),
                 panic_probe: Mutex::new(None),
             }),
@@ -204,22 +200,10 @@ impl Database {
         self.shared.profiling.load(Ordering::Relaxed)
     }
 
-    /// Selects the query execution mode: `true` (the default) runs queries
-    /// on the vectorized columnar batch pipeline, `false` on the
-    /// row-at-a-time baseline. Both produce identical results; the row path
-    /// exists for benchmarking and equivalence testing.
-    pub fn set_vectorized(&self, on: bool) {
-        self.shared.vectorized.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether queries run on the vectorized batch pipeline.
-    pub fn vectorized(&self) -> bool {
-        self.shared.vectorized.load(Ordering::Relaxed)
-    }
-
-    /// Overrides the profile's rows-per-batch for the vectorized pipeline
-    /// (`None` restores the profile default). Any size produces identical
-    /// results — this knob exists for tuning and the equivalence suite.
+    /// Overrides the profile's rows-per-batch (`None` restores the profile
+    /// default). Any size produces identical results — size 1 runs the
+    /// executor a row at a time, which makes it the equivalence suite's
+    /// and BENCH_6's baseline.
     pub fn set_batch_size(&self, rows: Option<usize>) {
         self.shared
             .batch_size
@@ -593,7 +577,6 @@ impl Session {
                 .statement_timeout
                 .map(|t| std::time::Instant::now() + t),
         })
-        .with_vectorized(self.shared.vectorized.load(Ordering::Relaxed))
         .with_batch_size(match self.shared.batch_size.load(Ordering::Relaxed) {
             0 => None,
             n => Some(n as usize),

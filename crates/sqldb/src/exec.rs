@@ -1,11 +1,11 @@
 //! Query and DML execution over materialized relations.
 
 use crate::ast::*;
-use crate::batch::{ColumnBatch, CompiledExpr, EvalOut};
+use crate::batch::{ColumnBatch, CompiledExpr, EvalOut, IntMap, NULL_LANE};
 use crate::bind::{bind_scalar, bind_with_aggregates, AggSpec, BoundExpr, Scope, ScopeRelation};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableHandle};
 use crate::error::{DbError, DbResult};
-use crate::join::{join_rels, split_conjuncts, Rel};
+use crate::join::{split_conjuncts, Joiner, Rel};
 use crate::op_profile::{us_since, OpProfiler};
 use crate::profile::EngineProfile;
 use crate::stats::Stats;
@@ -78,15 +78,12 @@ pub struct Executor<'a> {
     stats: &'a Stats,
     limits: ExecLimits,
     prof: Option<&'a OpProfiler>,
-    vectorized: bool,
     /// Overrides [`EngineProfile::batch_size`] when set (testing/tuning).
     batch_size: Option<usize>,
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor with no per-statement limits. Queries run on
-    /// the vectorized batch pipeline by default; see
-    /// [`Self::with_vectorized`].
+    /// Creates an executor with no per-statement limits.
     pub fn new(catalog: &'a Catalog, profile: EngineProfile, stats: &'a Stats) -> Executor<'a> {
         Executor {
             catalog,
@@ -94,7 +91,6 @@ impl<'a> Executor<'a> {
             stats,
             limits: ExecLimits::default(),
             prof: None,
-            vectorized: true,
             batch_size: None,
         }
     }
@@ -105,17 +101,10 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Selects between the vectorized batch pipeline (`true`, the default)
-    /// and the historical row-at-a-time pipeline. Both produce identical
-    /// results; the row path is kept as the equivalence/benchmark baseline.
-    pub fn with_vectorized(mut self, on: bool) -> Executor<'a> {
-        self.vectorized = on;
-        self
-    }
-
-    /// Overrides the profile's rows-per-batch for the vectorized pipeline
-    /// (`None` restores the profile default). Results must be identical at
-    /// every batch size — the equivalence suite runs sizes 1/3/default/4096.
+    /// Overrides the profile's rows-per-batch (`None` restores the profile
+    /// default). Results must be identical at every batch size — size 1 is
+    /// the row-at-a-time case, and the equivalence suite compares it with
+    /// sizes 3/default/4096.
     pub fn with_batch_size(mut self, rows: Option<usize>) -> Executor<'a> {
         self.batch_size = rows;
         self
@@ -142,14 +131,17 @@ impl<'a> Executor<'a> {
     }
 
     fn check_deadline(&self) -> DbResult<()> {
-        if let Some(d) = self.limits.deadline {
-            if Instant::now() > d {
-                return Err(DbError::Timeout(
-                    "statement exceeded its execution deadline".into(),
-                ));
-            }
+        check_deadline(self.limits.deadline)
+    }
+
+    /// The join kernel under this executor's profile, counters and limits.
+    fn joiner(&self) -> Joiner<'a> {
+        Joiner {
+            strategy: self.profile.join_strategy(),
+            stats: self.stats,
+            budget: self.catalog.memory_budget(),
+            deadline: self.limits.deadline,
         }
-        Ok(())
     }
 
     fn check_row_cap(&self, produced: usize) -> DbResult<()> {
@@ -242,20 +234,11 @@ impl<'a> Executor<'a> {
             SetExpr::Select(s) => self.exec_select(s, depth),
             SetExpr::Values(rows) => {
                 let t0 = self.prof_start();
-                let scope = Scope::new();
-                let mut out = Vec::with_capacity(rows.len());
-                let mut arity = None;
-                for row_exprs in rows {
-                    if *arity.get_or_insert(row_exprs.len()) != row_exprs.len() {
-                        return Err(DbError::Invalid("VALUES rows differ in arity".into()));
-                    }
-                    let mut row = Vec::with_capacity(row_exprs.len());
-                    for e in row_exprs {
-                        row.push(bind_scalar(e, &scope)?.eval(&Vec::new(), &[])?);
-                    }
-                    out.push(row);
+                let n = rows.first().map_or(0, Vec::len);
+                if rows.iter().any(|r| r.len() != n) {
+                    return Err(DbError::Invalid("VALUES rows differ in arity".into()));
                 }
-                let n = arity.unwrap_or(0);
+                let out = eval_values(rows)?;
                 if let Some(p) = self.prof {
                     p.leaf(
                         format!("Values ({} rows)", rows.len()),
@@ -316,119 +299,17 @@ impl<'a> Executor<'a> {
                 .unwrap_or(false);
         let grouped = has_aggregates || !s.group_by.is_empty();
 
-        let mut result = if let Some(out) = self.try_select_batched_scan(s, grouped)? {
-            out
-        } else {
-            // FROM
-            let mut rel = if s.from.is_empty() {
-                let unit = Rel::unit();
-                if let Some(p) = self.prof {
-                    p.leaf("Result (no tables)".to_string(), unit.rows.len() as u64, 0);
-                }
-                unit
-            } else {
-                let mut rel: Option<Rel> = None;
-                for tr in &s.from {
-                    let right = self.build_table_ref(tr, depth)?;
-                    rel = Some(match rel {
-                        None => right,
-                        Some(left) => {
-                            let t0 = self.prof_start();
-                            let rows_in = (left.rows.len() + right.rows.len()) as u64;
-                            let joined = join_rels(
-                                left,
-                                right,
-                                JoinType::Cross,
-                                None,
-                                self.profile.join_strategy(),
-                                self.stats,
-                            )?;
-                            if let Some(p) = self.prof {
-                                p.wrap(
-                                    2,
-                                    "NestedLoop (cross join)".to_string(),
-                                    joined.rows.len() as u64,
-                                    rows_in,
-                                    t0.map(us_since).unwrap_or(0),
-                                );
-                            }
-                            joined
-                        }
-                    });
-                }
-                rel.expect("non-empty from")
-            };
-            self.stats.add_rows_scanned(rel.rows.len() as u64);
-
-            // charge the materialized FROM output against the memory budget;
-            // the reservation refunds itself when the statement's intermediate
-            // state dies at the end of this scope
-            let _reservation =
-                self.catalog
-                    .memory_budget()
-                    .reserve(crate::budget::approx_rows_bytes(
-                        rel.rows.len(),
-                        rel.arity(),
-                    ))?;
-
-            if self.vectorized {
-                let arity = rel.arity();
-                let nrows = rel.rows.len();
-                // the columnar conversion is a second intermediate; charge
-                // it like the row intermediate above
-                let _batches_reservation = self
-                    .catalog
-                    .memory_budget()
-                    .reserve(crate::budget::approx_rows_bytes(nrows, arity))?;
-                let Rel { scope, rows, .. } = rel;
-                let batches = ColumnBatch::chunk_rows(rows, arity, self.batch_rows());
-                self.exec_pipeline_batched(s, &scope, batches, arity, grouped)?
-            } else {
-                // WHERE
-                if let Some(pred) = &s.selection {
-                    let t0 = self.prof_start();
-                    let rows_in = rel.rows.len() as u64;
-                    let bound = bind_scalar(pred, &rel.scope)?;
-                    let mut kept = Vec::with_capacity(rel.rows.len());
-                    for (i, row) in rel.rows.into_iter().enumerate() {
-                        if i & 0xFFF == 0 {
-                            self.check_deadline()?;
-                        }
-                        if bound.eval(&row, &[])?.is_truthy() {
-                            kept.push(row);
-                        }
-                    }
-                    rel.rows = kept;
-                    if let Some(p) = self.prof {
-                        p.wrap(
-                            1,
-                            "Filter".to_string(),
-                            rel.rows.len() as u64,
-                            rows_in,
-                            t0.map(us_since).unwrap_or(0),
-                        );
-                    }
-                }
-
-                if grouped {
-                    let t0 = self.prof_start();
-                    let rows_in = rel.rows.len() as u64;
-                    let out = self.exec_aggregate(s, &rel)?;
-                    if let Some(p) = self.prof {
-                        p.wrap(
-                            1,
-                            format!("HashAggregate (group by {} keys)", s.group_by.len()),
-                            out.rows.len() as u64,
-                            rows_in,
-                            t0.map(us_since).unwrap_or(0),
-                        );
-                    }
-                    out
-                } else {
-                    self.exec_project(s, &rel)?
-                }
-            }
-        };
+        let reads = Reads::of(s);
+        let rel = self.build_from(&s.from, depth, self.batch_rows(), &reads)?;
+        let arity = rel.scope.arity();
+        // the charge for the FROM output lives until the pipeline is done
+        let Rel {
+            scope,
+            batches,
+            charge: _charge,
+            ..
+        } = rel;
+        let mut result = self.exec_pipeline(s, &scope, batches, arity, grouped)?;
 
         if s.distinct {
             let t0 = self.prof_start();
@@ -447,73 +328,80 @@ impl<'a> Executor<'a> {
         Ok(result)
     }
 
-    /// Vectorized single-table fast path: when the FROM clause is one plain
-    /// table (no joins, views or subqueries), scan it straight into column
-    /// batches and run the batched pipeline without ever materializing a
-    /// row vector. Returns `Ok(None)` when the shape doesn't apply and the
-    /// caller must take the generic path.
-    fn try_select_batched_scan(&self, s: &Select, grouped: bool) -> DbResult<Option<QueryResult>> {
-        if !self.vectorized || s.from.len() != 1 || !s.from[0].joins.is_empty() {
-            return Ok(None);
-        }
-        let TableFactor::Table { name, alias } = &s.from[0].base else {
-            return Ok(None);
-        };
-        if self.catalog.view(name).is_some() {
-            return Ok(None);
-        }
-        let visible = alias.as_deref().unwrap_or(name).to_owned();
-        let label = match alias {
-            Some(a) => format!("{name} AS {a}"),
-            None => name.clone(),
-        };
-        let t0 = self.prof_start();
-        let handle = self.catalog.table(name)?;
-        let (columns, batches) = {
-            let t = handle.read();
-            (
-                t.schema()
-                    .columns()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect::<Vec<_>>(),
-                t.scan_batches(self.batch_rows()),
-            )
-        };
-        let arity = columns.len();
-        let nrows: usize = batches.iter().map(ColumnBatch::len).sum();
-        // the row path counts scanned rows once at the scan and once as the
-        // FROM output; keep the stats identical across execution modes
-        self.stats.add_rows_scanned(nrows as u64);
-        self.stats.add_rows_scanned(nrows as u64);
-        if let Some(p) = self.prof {
-            p.leaf_batched(
-                format!("SeqScan {label}"),
-                nrows as u64,
-                t0.map(us_since).unwrap_or(0),
-                batches.len() as u64,
+    /// Materializes a `FROM` list: comma-separated items cross-join left to
+    /// right. The first item streams in `batch_rows`-row batches; the
+    /// others are joined as inner sides, so they are built unchunked.
+    fn build_from(
+        &self,
+        from: &[TableRef],
+        depth: usize,
+        batch_rows: usize,
+        reads: &Reads<'_>,
+    ) -> DbResult<Rel> {
+        if from.is_empty() {
+            if let Some(p) = self.prof {
+                p.leaf("Result (no tables)".to_string(), 1, 0);
+            }
+            let unit = ColumnBatch::from_cols(Vec::new(), 1);
+            return Rel::new(
+                Scope::new(),
+                vec![unit],
+                Vec::new(),
+                Vec::new(),
+                self.catalog.memory_budget(),
             );
         }
-        // charge the columnar FROM materialization exactly like the row
-        // path charges its row materialization
-        let _reservation = self
-            .catalog
-            .memory_budget()
-            .reserve(crate::budget::approx_rows_bytes(nrows, arity))?;
-        let mut scope = Scope::new();
-        scope.push(ScopeRelation {
-            qualifier: visible,
-            columns,
-        });
-        self.exec_pipeline_batched(s, &scope, batches, arity, grouped)
-            .map(Some)
+        let mut rel: Option<Rel> = None;
+        for tr in from {
+            let rows = if rel.is_none() {
+                batch_rows
+            } else {
+                usize::MAX
+            };
+            let right = self.build_table_ref(tr, depth, rows, reads)?;
+            rel = Some(match rel {
+                None => right,
+                Some(left) => {
+                    self.profiled_join(left, right, JoinType::Cross, None, batch_rows, || {
+                        "NestedLoop (cross join)".to_string()
+                    })?
+                }
+            });
+        }
+        Ok(rel.expect("non-empty from"))
     }
 
-    /// Runs WHERE → aggregation/projection over column batches. Per-batch
-    /// deadline checks replace the row path's every-4096-rows checks, and
-    /// each operator records batch actuals into the profiler and the
-    /// process-wide `sqloop.exec.*` metrics.
-    fn exec_pipeline_batched(
+    /// Runs one join through the kernel, recording it into the profiler.
+    fn profiled_join(
+        &self,
+        left: Rel,
+        right: Rel,
+        join_type: JoinType,
+        on: Option<&Expr>,
+        out_rows: usize,
+        label: impl FnOnce() -> String,
+    ) -> DbResult<Rel> {
+        let t0 = self.prof_start();
+        let rows_in = (left.len() + right.len()) as u64;
+        let batches_in = (left.batches.len() + right.batches.len()) as u64;
+        let joined = self.joiner().join(left, right, join_type, on, out_rows)?;
+        if let Some(p) = self.prof {
+            p.wrap_batched(
+                2,
+                label(),
+                joined.len() as u64,
+                rows_in,
+                t0.map(us_since).unwrap_or(0),
+                batches_in,
+            );
+        }
+        Ok(joined)
+    }
+
+    /// Runs WHERE → aggregation/projection over column batches, checking
+    /// the deadline per batch; each operator records batch actuals into the
+    /// profiler and the process-wide `sqloop.exec.*` metrics.
+    fn exec_pipeline(
         &self,
         s: &Select,
         scope: &Scope,
@@ -558,7 +446,7 @@ impl<'a> Executor<'a> {
             let t0 = self.prof_start();
             let rows_in: u64 = batches.iter().map(|b| b.len() as u64).sum();
             let nb = batches.len() as u64;
-            let out = self.exec_aggregate_batched(s, scope, &batches, arity)?;
+            let out = self.exec_aggregate(s, scope, &batches, arity)?;
             if let Some(p) = self.prof {
                 p.wrap_batched(
                     1,
@@ -571,18 +459,18 @@ impl<'a> Executor<'a> {
             }
             out
         } else {
-            self.exec_project_batched(s, scope, &batches)?
+            self.exec_project(s, scope, &batches)?
         };
 
         note_exec_batches(input_batches, input_rows);
         Ok(result)
     }
 
-    /// Vectorized projection: every projection expression is compiled once
-    /// and evaluated per batch. A kernel error reruns that batch through
-    /// the row-at-a-time evaluator (which is authoritative), so error
-    /// ordering matches [`Self::exec_project`] exactly.
-    fn exec_project_batched(
+    /// Projection: every projection expression is compiled once and
+    /// evaluated per batch. A kernel error reruns that batch through the
+    /// row evaluator (which is authoritative), so the first error in row
+    /// order surfaces at every batch size.
+    fn exec_project(
         &self,
         s: &Select,
         scope: &Scope,
@@ -618,39 +506,30 @@ impl<'a> Executor<'a> {
         for b in batches {
             self.check_deadline()?;
             let outs: DbResult<Vec<EvalOut>> = compiled.iter().map(|c| c.try_eval(b)).collect();
-            match outs {
-                Ok(outs) => {
-                    for lane in 0..b.len() {
-                        let mut out = Vec::with_capacity(compiled.len());
-                        for o in &outs {
-                            out.push(o.value_at(b, lane));
-                        }
-                        rows.push(out);
-                        self.check_row_cap(rows.len())?;
-                    }
-                }
-                Err(_) => {
-                    for lane in 0..b.len() {
+            let outs = outs.ok();
+            for lane in 0..b.len() {
+                rows.push(match &outs {
+                    Some(outs) => outs.iter().map(|o| o.value_at(b, lane)).collect(),
+                    // a kernel error: rerun row-wise for the first error
+                    None => {
                         let row = b.row_at(lane);
-                        let mut out = Vec::with_capacity(compiled.len());
-                        for c in &compiled {
-                            out.push(c.expr().eval(&row, &[])?);
-                        }
-                        rows.push(out);
-                        self.check_row_cap(rows.len())?;
+                        exprs
+                            .iter()
+                            .map(|e| e.eval(&row, &[]))
+                            .collect::<DbResult<Row>>()?
                     }
-                }
+                });
+                self.check_row_cap(rows.len())?;
             }
         }
         Ok(QueryResult { columns, rows })
     }
 
-    /// Vectorized grouping: key and aggregate-argument expressions are
-    /// compiled once and evaluated per batch; group discovery order,
-    /// accumulator semantics and error ordering match
-    /// [`Self::exec_aggregate`] exactly (a kernel error reruns the batch
-    /// row-wise).
-    fn exec_aggregate_batched(
+    /// Hash aggregation: key and aggregate-argument expressions are
+    /// compiled once and evaluated per batch; groups are discovered in row
+    /// order, and a kernel error reruns the batch row-wise, so results and
+    /// errors are the same at every batch size.
+    fn exec_aggregate(
         &self,
         s: &Select,
         scope: &Scope,
@@ -689,17 +568,16 @@ impl<'a> Executor<'a> {
             .collect();
 
         let mut groups: Vec<(Vec<AggAcc>, Row)> = Vec::new();
+        let new_accs = || aggs.iter().map(|a| AggAcc::new(a.func)).collect::<Vec<_>>();
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
         // Single-INT-key fast path: while every batch's key column has been a
         // fully-valid Int vector, group through an i64-keyed map instead of
-        // allocating a `Vec<Value>` key per lane. The flag drops permanently
-        // the moment any batch breaks the invariant, because `Value` hashes
+        // allocating a `Vec<Value>` key per lane. The path drops for good the
+        // moment any batch breaks the invariant, because `Value` hashes
         // numerically across types (Int(2) == Float(2.0)) and a typed lookup
-        // would then miss groups created through the generic index. Typed
-        // insertions mirror into the generic index so later generic batches
-        // keep grouping consistently.
-        let mut int_index: HashMap<i64, usize, std::hash::BuildHasherDefault<IntKeyHasher>> =
-            HashMap::default();
+        // would then miss groups created through the generic index; its
+        // groups move into the generic index at that point.
+        let mut int_index: IntMap<usize> = IntMap::default();
         let mut typed_ok = compiled_keys.len() == 1;
         for b in batches {
             self.check_deadline()?;
@@ -709,87 +587,62 @@ impl<'a> Executor<'a> {
                 .iter()
                 .map(|c| c.as_ref().map(|c| c.try_eval(b)).transpose())
                 .collect();
-            match (key_outs, arg_outs) {
-                (Ok(key_outs), Ok(arg_outs)) => {
-                    let int_keys = if typed_ok {
-                        key_outs[0].as_int_lanes(b)
-                    } else {
-                        None
-                    };
-                    if let Some(ks) = int_keys {
-                        let float_args: Vec<Option<&[f64]>> = arg_outs
-                            .iter()
-                            .map(|o| o.as_ref().and_then(|o| o.as_float_lanes(b)))
-                            .collect();
-                        for lane in 0..b.len() {
-                            let gi = match int_index.entry(ks[lane]) {
-                                std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                                std::collections::hash_map::Entry::Vacant(v) => {
-                                    let gi = groups.len();
-                                    v.insert(gi);
-                                    index.insert(vec![Value::Int(ks[lane])], gi);
-                                    groups.push((
-                                        aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-                                        b.row_at(lane),
-                                    ));
-                                    gi
-                                }
-                            };
-                            let (accs, _) = &mut groups[gi];
-                            for ((acc, out), fs) in accs.iter_mut().zip(&arg_outs).zip(&float_args)
-                            {
-                                match fs {
-                                    Some(fs) => acc.update_float(fs[lane]),
-                                    None => acc.update(out.as_ref().map(|o| o.value_at(b, lane))),
-                                }
+            let outs = key_outs.and_then(|k| Ok((k, arg_outs?))).ok();
+            let int_keys = match &outs {
+                Some((k, _)) if typed_ok => k[0].as_int_lanes(b),
+                _ => None,
+            };
+            if typed_ok && int_keys.is_none() {
+                typed_ok = false;
+                index.extend(int_index.drain().map(|(k, gi)| (vec![Value::Int(k)], gi)));
+            }
+            match (&outs, int_keys) {
+                (Some((_, arg_outs)), Some(ks)) => {
+                    let float_args: Vec<Option<&[f64]>> = arg_outs
+                        .iter()
+                        .map(|o| o.as_ref().and_then(|o| o.as_float_lanes(b)))
+                        .collect();
+                    for (lane, k) in ks.iter().enumerate() {
+                        let gi = *int_index.entry(*k).or_insert_with(|| {
+                            groups.push((new_accs(), b.row_at(lane)));
+                            groups.len() - 1
+                        });
+                        let accs = &mut groups[gi].0;
+                        for ((acc, out), fs) in accs.iter_mut().zip(arg_outs).zip(&float_args) {
+                            match fs {
+                                Some(fs) => acc.update_float(fs[lane]),
+                                None => acc.update(out.as_ref().map(|o| o.value_at(b, lane))),
                             }
                         }
-                        continue;
                     }
-                    typed_ok = false;
+                }
+                (Some((key_outs, arg_outs)), None) => {
                     for lane in 0..b.len() {
                         let key: Vec<Value> =
                             key_outs.iter().map(|o| o.value_at(b, lane)).collect();
-                        let gi = match index.entry(key) {
-                            std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                            std::collections::hash_map::Entry::Vacant(v) => {
-                                let gi = groups.len();
-                                v.insert(gi);
-                                groups.push((
-                                    aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-                                    b.row_at(lane),
-                                ));
-                                gi
-                            }
-                        };
-                        let (accs, _) = &mut groups[gi];
-                        for (acc, out) in accs.iter_mut().zip(&arg_outs) {
+                        let gi = *index.entry(key).or_insert_with(|| {
+                            groups.push((new_accs(), b.row_at(lane)));
+                            groups.len() - 1
+                        });
+                        for (acc, out) in groups[gi].0.iter_mut().zip(arg_outs) {
                             acc.update(out.as_ref().map(|o| o.value_at(b, lane)));
                         }
                     }
                 }
-                _ => {
-                    typed_ok = false;
+                // a kernel error: rerun the batch row-wise, so the first
+                // error in row order (if any) surfaces
+                (None, _) => {
                     for lane in 0..b.len() {
                         let row = b.row_at(lane);
                         let mut key = Vec::with_capacity(key_exprs.len());
                         for k in &key_exprs {
                             key.push(k.eval(&row, &[])?);
                         }
-                        let gi = match index.entry(key) {
-                            std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                            std::collections::hash_map::Entry::Vacant(v) => {
-                                let gi = groups.len();
-                                v.insert(gi);
-                                groups.push((
-                                    aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-                                    row.clone(),
-                                ));
-                                gi
-                            }
-                        };
-                        let (accs, _) = &mut groups[gi];
-                        for (acc, spec) in accs.iter_mut().zip(&aggs) {
+                        let gi = *index.entry(key).or_insert_with(|| {
+                            groups.push((new_accs(), row.clone()));
+                            groups.len() - 1
+                        });
+                        for (acc, spec) in groups[gi].0.iter_mut().zip(&aggs) {
                             let v = match &spec.arg {
                                 Some(e) => Some(e.eval(&row, &[])?),
                                 None => None,
@@ -802,138 +655,7 @@ impl<'a> Executor<'a> {
         }
         // global aggregate over empty input still yields one group
         if groups.is_empty() && key_exprs.is_empty() {
-            groups.push((
-                aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-                vec![Value::Null; arity],
-            ));
-        }
-
-        let mut rows = Vec::with_capacity(groups.len());
-        for (accs, rep_row) in groups {
-            let agg_values: Vec<Value> = accs.into_iter().map(AggAcc::finish).collect();
-            if let Some(h) = &having {
-                if !h.eval(&rep_row, &agg_values)?.is_truthy() {
-                    continue;
-                }
-            }
-            let mut out = Vec::with_capacity(proj_exprs.len());
-            for e in &proj_exprs {
-                out.push(e.eval(&rep_row, &agg_values)?);
-            }
-            rows.push(out);
-            self.check_row_cap(rows.len())?;
-        }
-        Ok(QueryResult { columns, rows })
-    }
-
-    fn exec_project(&self, s: &Select, rel: &Rel) -> DbResult<QueryResult> {
-        let mut columns = Vec::new();
-        let mut exprs: Vec<BoundExpr> = Vec::new();
-        for (i, item) in s.projections.iter().enumerate() {
-            match item {
-                SelectItem::Wildcard => {
-                    for (off, name) in rel.scope.flat_columns().into_iter().enumerate() {
-                        columns.push(name);
-                        exprs.push(BoundExpr::Column(off));
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    let range = rel.scope.relation_offsets(q)?;
-                    let names = rel.scope.flat_columns();
-                    for off in range {
-                        columns.push(names[off].clone());
-                        exprs.push(BoundExpr::Column(off));
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(projection_name(expr, alias.as_deref(), i));
-                    exprs.push(bind_scalar(expr, &rel.scope)?);
-                }
-            }
-        }
-        let mut rows = Vec::with_capacity(rel.rows.len());
-        for (i, row) in rel.rows.iter().enumerate() {
-            if i & 0xFFF == 0 {
-                self.check_deadline()?;
-            }
-            let mut out = Vec::with_capacity(exprs.len());
-            for e in &exprs {
-                out.push(e.eval(row, &[])?);
-            }
-            rows.push(out);
-            self.check_row_cap(rows.len())?;
-        }
-        Ok(QueryResult { columns, rows })
-    }
-
-    fn exec_aggregate(&self, s: &Select, rel: &Rel) -> DbResult<QueryResult> {
-        // bind group keys
-        let mut key_exprs = Vec::with_capacity(s.group_by.len());
-        for g in &s.group_by {
-            key_exprs.push(bind_scalar(g, &rel.scope)?);
-        }
-        // bind projections + having, extracting aggregates
-        let mut aggs: Vec<AggSpec> = Vec::new();
-        let mut columns = Vec::new();
-        let mut proj_exprs = Vec::new();
-        for (i, item) in s.projections.iter().enumerate() {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(projection_name(expr, alias.as_deref(), i));
-                    proj_exprs.push(bind_with_aggregates(expr, &rel.scope, &mut aggs)?);
-                }
-                _ => {
-                    return Err(DbError::Invalid(
-                        "wildcard projections are not allowed with GROUP BY/aggregates".into(),
-                    ))
-                }
-            }
-        }
-        let having = match &s.having {
-            Some(h) => Some(bind_with_aggregates(h, &rel.scope, &mut aggs)?),
-            None => None,
-        };
-
-        // group rows; the key lives only in the index map (each group keeps a
-        // representative row for projecting group-by columns), so the entry
-        // API moves each key in without a clone
-        let mut groups: Vec<(Vec<AggAcc>, Row)> = Vec::new();
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for (i, row) in rel.rows.iter().enumerate() {
-            if i & 0xFFF == 0 {
-                self.check_deadline()?;
-            }
-            let mut key = Vec::with_capacity(key_exprs.len());
-            for k in &key_exprs {
-                key.push(k.eval(row, &[])?);
-            }
-            let gi = match index.entry(key) {
-                std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    let gi = groups.len();
-                    v.insert(gi);
-                    groups.push((
-                        aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-                        row.clone(),
-                    ));
-                    gi
-                }
-            };
-            let (accs, _) = &mut groups[gi];
-            for (acc, spec) in accs.iter_mut().zip(&aggs) {
-                let v = match &spec.arg {
-                    Some(e) => Some(e.eval(row, &[])?),
-                    None => None,
-                };
-                acc.update(v);
-            }
-        }
-        // global aggregate over empty input still yields one group
-        if groups.is_empty() && key_exprs.is_empty() {
-            groups.push((
-                aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-                vec![Value::Null; rel.arity()],
-            ));
+            groups.push((new_accs(), vec![Value::Null; arity]));
         }
 
         let mut rows = Vec::with_capacity(groups.len());
@@ -1003,106 +725,122 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    fn build_table_ref(&self, tr: &TableRef, depth: usize) -> DbResult<Rel> {
-        let mut rel = self.build_factor(&tr.base, depth)?;
+    /// Builds one `FROM` item: its base factor joined, left to right, with
+    /// each `JOIN` (the inner sides built unchunked).
+    fn build_table_ref(
+        &self,
+        tr: &TableRef,
+        depth: usize,
+        batch_rows: usize,
+        reads: &Reads<'_>,
+    ) -> DbResult<Rel> {
+        let mut rel = self.build_factor(&tr.base, depth, batch_rows, reads)?;
         for j in &tr.joins {
-            let right = self.build_factor(&j.factor, depth)?;
-            let t0 = self.prof_start();
-            let rows_in = (rel.rows.len() + right.rows.len()) as u64;
-            rel = join_rels(
-                rel,
-                right,
-                j.join_type,
-                j.on.as_ref(),
-                self.profile.join_strategy(),
-                self.stats,
-            )?;
-            if let Some(p) = self.prof {
-                let label = crate::explain::join_description(self.catalog, self.profile, j)
-                    .unwrap_or_else(|_| "Join".to_string());
-                p.wrap(
-                    2,
-                    label,
-                    rel.rows.len() as u64,
-                    rows_in,
-                    t0.map(us_since).unwrap_or(0),
-                );
-            }
+            let right = self.build_factor(&j.factor, depth, usize::MAX, reads)?;
+            rel = self.profiled_join(rel, right, j.join_type, j.on.as_ref(), batch_rows, || {
+                crate::explain::join_description(self.catalog, self.profile, j)
+                    .unwrap_or_else(|_| "Join".to_string())
+            })?;
         }
         Ok(rel)
     }
 
-    fn build_factor(&self, f: &TableFactor, depth: usize) -> DbResult<Rel> {
-        match f {
+    fn build_factor(
+        &self,
+        f: &TableFactor,
+        depth: usize,
+        batch_rows: usize,
+        reads: &Reads<'_>,
+    ) -> DbResult<Rel> {
+        let view;
+        let (query, qualifier, label) = match f {
             TableFactor::Table { name, alias } => {
                 let visible = alias.as_deref().unwrap_or(name).to_owned();
                 let label = match alias {
                     Some(a) => format!("{name} AS {a}"),
                     None => name.clone(),
                 };
-                if let Some(view) = self.catalog.view(name) {
-                    let t0 = self.prof_start();
-                    let result = self.run_query_depth(&view, depth + 1)?;
-                    if let Some(p) = self.prof {
-                        let rows = result.rows.len() as u64;
-                        p.wrap(
-                            1,
-                            format!("View {label}"),
-                            rows,
-                            rows,
-                            t0.map(us_since).unwrap_or(0),
-                        );
+                match self.catalog.view(name) {
+                    Some(v) => {
+                        view = v;
+                        (view.as_ref(), visible, format!("View {label}"))
                     }
-                    return Ok(rel_from_result(result, visible));
+                    None => {
+                        let handle = self.catalog.table(name)?;
+                        return self.scan(handle, visible, &label, batch_rows, reads);
+                    }
                 }
-                let t0 = self.prof_start();
-                let handle = self.catalog.table(name)?;
-                let (columns, rows) = {
-                    let t = handle.read();
-                    (
-                        t.schema()
-                            .columns()
-                            .iter()
-                            .map(|c| c.name.clone())
-                            .collect::<Vec<_>>(),
-                        t.scan(),
-                    )
-                };
-                self.stats.add_rows_scanned(rows.len() as u64);
-                if let Some(p) = self.prof {
-                    p.leaf(
-                        format!("SeqScan {label}"),
-                        rows.len() as u64,
-                        t0.map(us_since).unwrap_or(0),
-                    );
-                }
-                let mut scope = Scope::new();
-                scope.push(ScopeRelation {
-                    qualifier: visible,
-                    columns,
-                });
-                Ok(Rel {
-                    scope,
-                    rows,
-                    bases: vec![Some(handle)],
-                })
             }
-            TableFactor::Derived { subquery, alias } => {
-                let t0 = self.prof_start();
-                let result = self.run_query_depth(subquery, depth + 1)?;
-                if let Some(p) = self.prof {
-                    let rows = result.rows.len() as u64;
-                    p.wrap(
-                        1,
-                        format!("Subquery AS {alias}"),
-                        rows,
-                        rows,
-                        t0.map(us_since).unwrap_or(0),
-                    );
-                }
-                Ok(rel_from_result(result, alias.clone()))
-            }
+            TableFactor::Derived { subquery, alias } => (
+                subquery.as_ref(),
+                alias.clone(),
+                format!("Subquery AS {alias}"),
+            ),
+        };
+        let t0 = self.prof_start();
+        let result = self.run_query_depth(query, depth + 1)?;
+        let rows = result.rows.len() as u64;
+        if let Some(p) = self.prof {
+            p.wrap(1, label, rows, rows, t0.map(us_since).unwrap_or(0));
         }
+        let arity = result.columns.len();
+        let mut scope = Scope::new();
+        scope.push(ScopeRelation {
+            qualifier,
+            columns: result.columns,
+        });
+        let batches = ColumnBatch::chunk_rows(result.rows, arity, batch_rows);
+        Rel::new(
+            scope,
+            batches,
+            vec![None],
+            vec![true; arity],
+            self.catalog.memory_budget(),
+        )
+    }
+
+    /// Scans a base table into column batches, copying only the columns
+    /// the statement reads. Each scanned row counts once in `rows_scanned`.
+    fn scan(
+        &self,
+        handle: TableHandle,
+        qualifier: String,
+        label: &str,
+        batch_rows: usize,
+        reads: &Reads<'_>,
+    ) -> DbResult<Rel> {
+        let t0 = self.prof_start();
+        let (columns, needed, batches) = {
+            let t = handle.read();
+            let columns: Vec<String> = t
+                .schema()
+                .columns()
+                .iter()
+                .map(|c| c.name.clone())
+                .collect();
+            let needed = reads.mask(&qualifier, &columns);
+            let batches = t.scan_batches(batch_rows, &needed);
+            (columns, needed, batches)
+        };
+        let nrows: usize = batches.iter().map(ColumnBatch::len).sum();
+        self.stats.add_rows_scanned(nrows as u64);
+        if let Some(p) = self.prof {
+            p.leaf_batched(
+                format!("SeqScan {label}"),
+                nrows as u64,
+                t0.map(us_since).unwrap_or(0),
+                batches.len() as u64,
+            );
+        }
+        let mut scope = Scope::new();
+        scope.push(ScopeRelation { qualifier, columns });
+        Rel::new(
+            scope,
+            batches,
+            vec![Some(handle)],
+            needed,
+            self.catalog.memory_budget(),
+        )
     }
 
     // ------------------------------------------------------------------
@@ -1233,18 +971,7 @@ impl<'a> Executor<'a> {
         let handle = self.catalog.table(&ins.table)?;
         let schema = handle.read().schema().clone();
         let source_rows: Vec<Row> = match &ins.source {
-            InsertSource::Values(rows) => {
-                let scope = Scope::new();
-                let mut out = Vec::with_capacity(rows.len());
-                for row_exprs in rows {
-                    let mut row = Vec::with_capacity(row_exprs.len());
-                    for e in row_exprs {
-                        row.push(bind_scalar(e, &scope)?.eval(&Vec::new(), &[])?);
-                    }
-                    out.push(row);
-                }
-                out
-            }
+            InsertSource::Values(rows) => eval_values(rows)?,
             InsertSource::Select(q) => self.run_query(q)?.rows,
         };
         // map through the explicit column list if present
@@ -1301,46 +1028,21 @@ impl<'a> Executor<'a> {
         let schema = handle.read().schema().clone();
         let visible = upd.alias.clone().unwrap_or_else(|| upd.table.clone());
 
-        // target snapshot with slots
-        let target: Vec<(usize, Row)> = handle
-            .read()
-            .iter()
-            .map(|(slot, row)| (slot, row.clone()))
-            .collect();
-
         let mut scope = Scope::new();
         scope.push(ScopeRelation {
-            qualifier: visible,
+            qualifier: visible.clone(),
             columns: schema.columns().iter().map(|c| c.name.clone()).collect(),
         });
-        let target_arity = schema.arity();
-
-        // extra relations (PostgreSQL FROM list / MySQL JOIN)
-        let from_rel: Option<Rel> = if upd.from.is_empty() {
+        // extra relations (PostgreSQL FROM list / MySQL JOIN), one batch
+        let from = if upd.from.is_empty() {
             None
         } else {
-            let mut rel: Option<Rel> = None;
-            for tr in &upd.from {
-                let right = self.build_table_ref(tr, 0)?;
-                rel = Some(match rel {
-                    None => right,
-                    Some(left) => join_rels(
-                        left,
-                        right,
-                        JoinType::Cross,
-                        None,
-                        self.profile.join_strategy(),
-                        self.stats,
-                    )?,
-                });
-            }
-            rel
-        };
-        if let Some(fr) = &from_rel {
-            for r in fr.scope.relations() {
+            let from = self.build_from(&upd.from, 0, usize::MAX, &Reads::all())?;
+            for r in from.scope.relations() {
                 scope.push(r.clone());
             }
-        }
+            Some(from)
+        };
 
         // combined predicate = join_on AND selection
         let mut conjuncts: Vec<BoundExpr> = Vec::new();
@@ -1359,90 +1061,53 @@ impl<'a> Executor<'a> {
 
         // collect (slot, combined row) matches — first match wins per slot
         let mut matches: Vec<(usize, Row)> = Vec::new();
-        match from_rel {
+        match from {
             None => {
+                let target: Vec<(usize, Row)> = handle
+                    .read()
+                    .iter()
+                    .map(|(slot, row)| (slot, row.clone()))
+                    .collect();
                 for (slot, row) in target {
                     if eval_conjuncts(&conjuncts, &row)? {
                         matches.push((slot, row));
                     }
                 }
             }
-            Some(fr) => {
-                // find an equi conjunct (target col, from col) to hash on
-                let total = target_arity + fr.arity();
-                let mut equi: Option<(usize, usize)> = None;
-                let mut residual: Vec<&BoundExpr> = Vec::new();
-                for c in &conjuncts {
-                    if equi.is_none() {
-                        if let BoundExpr::Binary {
-                            left,
-                            op: BinaryOp::Eq,
-                            right,
-                        } = c
-                        {
-                            if let (BoundExpr::Column(a), BoundExpr::Column(b)) =
-                                (left.as_ref(), right.as_ref())
-                            {
-                                let (a, b) = (*a, *b);
-                                if a < target_arity && b >= target_arity && b < total {
-                                    equi = Some((a, b - target_arity));
-                                    continue;
-                                }
-                                if b < target_arity && a >= target_arity && a < total {
-                                    equi = Some((b, a - target_arity));
-                                    continue;
-                                }
+            Some(from) => {
+                // the target joins the FROM relation through the join
+                // kernel; the earliest FROM match of each target row wins
+                let slots: Vec<usize> = handle.read().iter().map(|(slot, _)| slot).collect();
+                let target = self.scan(
+                    handle.clone(),
+                    visible,
+                    &upd.table,
+                    usize::MAX,
+                    &Reads::all(),
+                )?;
+                let mut first = vec![NULL_LANE; slots.len()];
+                self.joiner().run(
+                    &target,
+                    &from,
+                    JoinType::Inner,
+                    conjuncts,
+                    usize::MAX,
+                    |_, _, m| {
+                        for &(l, r) in m {
+                            let f = &mut first[l as usize];
+                            if *f == NULL_LANE {
+                                *f = r;
                             }
                         }
-                    }
-                    residual.push(c);
-                }
-                match equi {
-                    Some((tcol, fcol)) => {
-                        let mut hash: HashMap<&Value, Vec<&Row>> = HashMap::new();
-                        for frow in &fr.rows {
-                            let k = &frow[fcol];
-                            if !k.is_null() {
-                                hash.entry(k).or_default().push(frow);
-                            }
-                        }
-                        for (slot, trow) in target {
-                            let k = &trow[tcol];
-                            if k.is_null() {
-                                continue;
-                            }
-                            if let Some(cands) = hash.get(k) {
-                                for frow in cands {
-                                    let mut combined = trow.clone();
-                                    combined.extend(frow.iter().cloned());
-                                    let mut ok = true;
-                                    for c in &residual {
-                                        if !c.eval(&combined, &[])?.is_truthy() {
-                                            ok = false;
-                                            break;
-                                        }
-                                    }
-                                    if ok {
-                                        matches.push((slot, combined));
-                                        break; // first match wins
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        for (slot, trow) in target {
-                            self.check_deadline()?;
-                            for frow in &fr.rows {
-                                self.stats.add_rows_joined(1);
-                                let mut combined = trow.clone();
-                                combined.extend(frow.iter().cloned());
-                                if eval_conjuncts(&conjuncts, &combined)? {
-                                    matches.push((slot, combined));
-                                    break;
-                                }
-                            }
-                        }
+                        Ok(())
+                    },
+                )?;
+                let (tb, fb) = (target.inner_batch(), from.inner_batch());
+                for (lane, &r) in first.iter().enumerate() {
+                    if r != NULL_LANE {
+                        let mut combined = tb.row_at(lane);
+                        combined.extend(fb.row_at(r as usize));
+                        matches.push((slots[lane], combined));
                     }
                 }
             }
@@ -1535,31 +1200,6 @@ impl<'a> Executor<'a> {
 
 /// Per-group aggregate accumulator.
 #[derive(Debug)]
-/// Multiply-xorshift hasher for the single-INT-key aggregate index. The
-/// default SipHash dominates the per-lane grouping cost at this key width;
-/// group keys are not attacker-controlled hash-flood targets, so a two-op
-/// mix is enough.
-#[derive(Default)]
-struct IntKeyHasher(u64);
-
-impl std::hash::Hasher for IntKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_i64(&mut self, i: i64) {
-        let mut h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        self.0 = h;
-    }
-}
-
 enum AggAcc {
     /// Running SUM (NULL until the first non-NULL input).
     Sum(Option<Value>),
@@ -1690,6 +1330,92 @@ impl AggAcc {
     }
 }
 
+/// Evaluates `VALUES` rows (constant expressions).
+fn eval_values(rows: &[Vec<Expr>]) -> DbResult<Vec<Row>> {
+    let scope = Scope::new();
+    rows.iter()
+        .map(|r| {
+            r.iter()
+                .map(|e| bind_scalar(e, &scope)?.eval(&Vec::new(), &[]))
+                .collect()
+        })
+        .collect()
+}
+
+/// Fails with [`DbError::Timeout`] once `deadline` has passed.
+pub(crate) fn check_deadline(deadline: Option<Instant>) -> DbResult<()> {
+    match deadline {
+        Some(d) if Instant::now() > d => Err(DbError::Timeout(
+            "statement exceeded its execution deadline".into(),
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// The `FROM` columns one statement reads; scans and joins copy only these
+/// (the others become NULL placeholders no expression ever looks at).
+/// References resolve like [`Scope::resolve`]: by exact name, against the
+/// named relation or, unqualified, against every relation.
+struct Reads<'q> {
+    all: bool,
+    relations: Vec<&'q str>,
+    columns: Vec<(Option<&'q str>, &'q str)>,
+}
+
+impl<'q> Reads<'q> {
+    /// Every column of every relation (DML, which rebuilds whole rows).
+    fn all() -> Reads<'q> {
+        Reads {
+            all: true,
+            relations: Vec::new(),
+            columns: Vec::new(),
+        }
+    }
+
+    /// The columns `s` references in its projections, `WHERE`, `GROUP
+    /// BY`, `HAVING` and `JOIN … ON` conditions.
+    fn of(s: &'q Select) -> Reads<'q> {
+        let mut reads = Reads {
+            all: false,
+            relations: Vec::new(),
+            columns: Vec::new(),
+        };
+        let mut exprs: Vec<&Expr> = Vec::new();
+        for p in &s.projections {
+            match p {
+                SelectItem::Wildcard => reads.all = true,
+                SelectItem::QualifiedWildcard(q) => reads.relations.push(q),
+                SelectItem::Expr { expr, .. } => exprs.push(expr),
+            }
+        }
+        exprs.extend(s.selection.iter().chain(&s.having).chain(&s.group_by));
+        exprs.extend(
+            s.from
+                .iter()
+                .flat_map(|tr| tr.joins.iter().flat_map(|j| &j.on)),
+        );
+        for e in exprs {
+            reads.columns.extend(e.column_refs());
+        }
+        reads
+    }
+
+    /// Per column of relation `qualifier`: whether it is read.
+    fn mask(&self, qualifier: &str, columns: &[String]) -> Vec<bool> {
+        let whole = self.all || self.relations.contains(&qualifier);
+        columns
+            .iter()
+            .map(|c| {
+                whole
+                    || self
+                        .columns
+                        .iter()
+                        .any(|(q, n)| n == c && q.is_none_or(|q| q == qualifier))
+            })
+            .collect()
+    }
+}
+
 fn eval_conjuncts(conjuncts: &[BoundExpr], row: &Row) -> DbResult<bool> {
     for c in conjuncts {
         if !c.eval(row, &[])?.is_truthy() {
@@ -1722,19 +1448,6 @@ fn dedupe(rows: Vec<Row>) -> Vec<Row> {
         }
     }
     out
-}
-
-fn rel_from_result(result: QueryResult, alias: String) -> Rel {
-    let mut scope = Scope::new();
-    scope.push(ScopeRelation {
-        qualifier: alias,
-        columns: result.columns,
-    });
-    Rel {
-        scope,
-        rows: result.rows,
-        bases: vec![None],
-    }
 }
 
 fn projection_name(expr: &Expr, alias: Option<&str>, i: usize) -> String {
@@ -1976,6 +1689,35 @@ mod tests {
                 vec![Value::Int(3), Value::Float(300.0)]
             ]
         );
+    }
+
+    #[test]
+    fn update_from_first_match_wins_on_every_strategy() {
+        // hash (Postgres), block nested-loop and index nested-loop (the
+        // MySQL family with an index on m.id) all keep the earliest match
+        for p in EngineProfile::ALL {
+            for indexed in [false, true] {
+                let ctx = seeded(p);
+                ctx.exec("CREATE TABLE m (id INT, nv FLOAT)").unwrap();
+                ctx.exec("INSERT INTO m VALUES (1, 10.0), (3, 30.0), (1, 11.0), (3, 31.0)")
+                    .unwrap();
+                if indexed {
+                    ctx.exec("CREATE INDEX m_id ON m (id)").unwrap();
+                }
+                let out = ctx
+                    .exec("UPDATE t SET v = m.nv FROM m WHERE t.id = m.id")
+                    .unwrap();
+                assert_eq!(out.rows_affected(), 2);
+                let r = ctx.query("SELECT id, v FROM t ORDER BY id");
+                let got: Vec<&Value> = r.rows.iter().map(|row| &row[1]).collect();
+                let want = [10.0, 2.5, 30.0].map(Value::Float);
+                assert_eq!(
+                    got,
+                    want.iter().collect::<Vec<_>>(),
+                    "{p:?} indexed={indexed}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2232,8 +1974,29 @@ mod tests {
         assert_eq!(r.rows[1][1], Value::Float(0.15));
     }
 
+    /// Runs `sql` at batch size 1 (row at a time) and at the given sizes,
+    /// asserting identical rows — or identical error text.
+    fn assert_batch_size_invariant(ctx: &Ctx, sql: &str, sizes: &[Option<usize>]) {
+        let q = parse_query(sql).unwrap();
+        let run = |size| {
+            Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
+                .with_batch_size(size)
+                .run_query(&q)
+                .map_err(|e| e.to_string())
+        };
+        let baseline = run(Some(1));
+        for &size in sizes {
+            assert_eq!(
+                run(size),
+                baseline,
+                "profile {:?} batch {size:?} sql {sql}",
+                ctx.profile
+            );
+        }
+    }
+
     #[test]
-    fn vectorized_and_row_paths_agree() {
+    fn batch_sizes_agree_with_row_at_a_time() {
         for p in EngineProfile::ALL {
             let ctx = seeded(p);
             ctx.exec("INSERT INTO t VALUES (7, NULL, NULL)").unwrap();
@@ -2243,6 +2006,7 @@ mod tests {
                  FROM t GROUP BY tag ORDER BY tag",
                 "SELECT a.id, b.tag FROM t AS a JOIN t AS b ON a.id = b.id \
                  WHERE a.v >= 0.5 ORDER BY a.id",
+                "SELECT a.id, b.id FROM t AS a LEFT JOIN t AS b ON a.tag = b.tag",
                 "SELECT id, CASE WHEN v > 1.0 THEN 'hi' ELSE 'lo' END FROM t ORDER BY id",
                 "SELECT DISTINCT tag FROM t ORDER BY tag",
                 "SELECT COUNT(*) FROM t WHERE tag = 'a' AND v > 0.0",
@@ -2250,21 +2014,13 @@ mod tests {
                 "SELECT id FROM t WHERE v IS NULL OR tag = 'b' ORDER BY id",
                 "SELECT SUM(v) FROM t WHERE v > 100.0",
             ] {
-                let q = parse_query(sql).unwrap();
-                let vec_out = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
-                    .run_query(&q)
-                    .unwrap();
-                let row_out = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
-                    .with_vectorized(false)
-                    .run_query(&q)
-                    .unwrap();
-                assert_eq!(vec_out, row_out, "profile {p:?} sql {sql}");
+                assert_batch_size_invariant(&ctx, sql, &[Some(2), None, Some(4096)]);
             }
         }
     }
 
     #[test]
-    fn vectorized_errors_match_row_path() {
+    fn batched_errors_match_row_at_a_time() {
         for p in EngineProfile::ALL {
             let ctx = seeded(p);
             for sql in [
@@ -2274,19 +2030,10 @@ mod tests {
                 "SELECT id FROM t WHERE v IS NOT NULL AND id / (id - id) > 0 ORDER BY id",
                 // an error hidden behind a short-circuiting AND must NOT fire
                 "SELECT id FROM t WHERE v IS NULL AND id / (id - id) > 0 ORDER BY id",
+                // a residual ON conjunct that errors on a candidate pair
+                "SELECT a.id FROM t AS a JOIN t AS b ON a.id = b.id AND a.id / (b.id - 2) > 0",
             ] {
-                let q = parse_query(sql).unwrap();
-                let vec_out = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats).run_query(&q);
-                let row_out = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
-                    .with_vectorized(false)
-                    .run_query(&q);
-                match (vec_out, row_out) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b, "profile {p:?} sql {sql}"),
-                    (Err(a), Err(b)) => {
-                        assert_eq!(a.to_string(), b.to_string(), "profile {p:?} sql {sql}")
-                    }
-                    (a, b) => panic!("paths disagree for {sql} on {p:?}: {a:?} vs {b:?}"),
-                }
+                assert_batch_size_invariant(&ctx, sql, &[Some(2), None]);
             }
         }
     }
@@ -2322,9 +2069,9 @@ mod tests {
         let mut lines = Vec::new();
         roots[0].render(0, &mut lines);
         assert!(lines[0].contains("batches=3 rows/batch=200"), "{lines:?}");
-        // rows-out at the root must stay oracle-exact in either mode
+        // rows-out at the root must stay oracle-exact at every batch size
         let row_out = Executor::new(&ctx.catalog, ctx.profile, &ctx.stats)
-            .with_vectorized(false)
+            .with_batch_size(Some(1))
             .run_query(&q)
             .unwrap();
         assert_eq!(out, row_out);

@@ -1,7 +1,7 @@
 //! `EXPLAIN SELECT …` — a textual plan describing the join strategies the
 //! executor will pick, per engine profile.
 //!
-//! This mirrors the decision logic of [`crate::join::join_rels`] without
+//! This mirrors the decision logic of [`crate::join::Joiner`] without
 //! executing anything, which makes the architectural difference between the
 //! engine profiles *visible*: the same query EXPLAINs to hash joins on the
 //! PostgreSQL profile and to (index) nested loops on the MySQL family.
@@ -134,7 +134,7 @@ fn explain_table_ref(
     Ok(())
 }
 
-/// The operator label [`crate::join::join_rels`] will effectively execute
+/// The operator label the [`crate::join::Joiner`] kernel will effectively execute
 /// for `j` — shared with the runtime profiler so `EXPLAIN` and
 /// `EXPLAIN ANALYZE` speak the same vocabulary.
 pub(crate) fn join_description(

@@ -318,40 +318,52 @@ impl Table {
     }
 
     /// Copies all live rows out as column batches of at most `batch_size`
-    /// rows, in slot order — the vectorized executor's scan entry point.
-    /// Builds each typed column vector directly from the storage slots, so
-    /// a scan of an N-row table costs O(arity) vector allocations per
-    /// batch instead of N per-row allocations.
-    pub fn scan_batches(&self, batch_size: usize) -> Vec<crate::batch::ColumnBatch> {
+    /// rows, in slot order — the executor's scan entry point. Builds each
+    /// typed column vector directly from the storage slots, so a scan of an
+    /// N-row table costs O(arity) vector allocations per batch instead of N
+    /// per-row allocations. Columns whose `needed` flag is clear are not
+    /// copied: they come back as all-NULL placeholders.
+    pub fn scan_batches(
+        &self,
+        batch_size: usize,
+        needed: &[bool],
+    ) -> Vec<crate::batch::ColumnBatch> {
         use crate::batch::{Col, ColumnBatch};
         let batch_size = batch_size.max(1);
         let arity = self.schema.arity();
+        let cap = batch_size.min(self.live_count);
+        let fresh = || -> Vec<Vec<Value>> { (0..arity).map(|_| Vec::with_capacity(cap)).collect() };
+        let finish = |columns: Vec<Vec<Value>>, lanes: usize| {
+            let cols = columns
+                .into_iter()
+                .zip(needed)
+                .map(|(c, &n)| {
+                    if n {
+                        Col::from_values(c)
+                    } else {
+                        Col::nulls(lanes)
+                    }
+                })
+                .collect();
+            ColumnBatch::from_cols(cols, lanes)
+        };
         let mut out = Vec::with_capacity(self.live_count / batch_size + 1);
-        let mut columns: Vec<Vec<Value>> =
-            (0..arity).map(|_| Vec::with_capacity(batch_size)).collect();
+        let mut columns = fresh();
         let mut lanes = 0usize;
         for (_, row) in self.iter() {
             for (c, v) in row.iter().enumerate().take(arity) {
-                columns[c].push(v.clone());
+                if needed[c] {
+                    columns[c].push(v.clone());
+                }
             }
             lanes += 1;
             if lanes == batch_size {
-                let cols = std::mem::replace(
-                    &mut columns,
-                    (0..arity).map(|_| Vec::with_capacity(batch_size)).collect(),
-                );
-                out.push(ColumnBatch::from_cols(
-                    cols.into_iter().map(Col::from_values).collect(),
-                    lanes,
-                ));
+                out.push(finish(std::mem::replace(&mut columns, fresh()), lanes));
                 lanes = 0;
             }
         }
         if lanes > 0 {
-            out.push(ColumnBatch::from_cols(
-                columns.into_iter().map(Col::from_values).collect(),
-                lanes,
-            ));
+            out.push(finish(columns, lanes));
         }
         out
     }
@@ -409,15 +421,17 @@ impl Table {
     }
 
     /// Finds any index (primary or secondary) usable for equality lookups on
-    /// `column`; returns slots matching `key`.
-    pub fn index_lookup(&self, column: usize, key: &Value) -> Option<Vec<usize>> {
-        if self.schema.primary_key() == Some(column) && self.pk_index.is_some() {
-            return Some(self.lookup_pk(key).into_iter().collect());
+    /// `column`; returns the slots matching `key`.
+    pub fn index_lookup(&self, column: usize, key: &Value) -> Option<&[usize]> {
+        if self.schema.primary_key() == Some(column) {
+            if let Some(pk) = &self.pk_index {
+                return Some(pk.get(key).map_or(&[], std::slice::from_ref));
+            }
         }
         self.secondary
             .iter()
             .find(|s| s.column == column)
-            .map(|s| s.lookup(key).to_vec())
+            .map(|s| s.lookup(key))
     }
 
     /// True when equality lookups on `column` can use an index.
@@ -475,7 +489,7 @@ mod tests {
                 .unwrap();
         }
         t.delete_slot(2).unwrap();
-        let batches = t.scan_batches(3);
+        let batches = t.scan_batches(3, &[true, true]);
         assert_eq!(
             batches.iter().map(|b| b.len()).collect::<Vec<_>>(),
             vec![3, 3]

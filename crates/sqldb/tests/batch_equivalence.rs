@@ -1,12 +1,16 @@
-//! Property tests for the vectorized executor: every query must produce
-//! results identical (same rows, same order) to the row-at-a-time baseline
-//! at every batch size — including over NULLs, NaN payloads, ±infinity,
-//! signed zero and extreme integers — and must fail with the *same error*
-//! whenever the row path fails (division by zero, type mismatches).
+//! Property tests for the batch executor: every query must produce results
+//! identical (same rows, same order) to its run at batch size 1 — every
+//! row its own batch, the row-at-a-time case — at every other batch size,
+//! including over NULLs, NaN payloads, ±infinity, signed zero and extreme
+//! integers, and must fail with the *same error* whenever that run fails
+//! (division by zero, type mismatches).
 //!
-//! The batch sizes exercised are 1 (every row is its own batch), 3 (batch
-//! boundaries land mid-group and mid-filter-run), the per-profile default
-//! (256/1024/4096) and 4096 (usually one batch for these tables).
+//! The batch sizes compared with size 1 are 3 (batch boundaries land
+//! mid-group, mid-filter-run and mid-join-fan-out), the per-profile default
+//! (256/1024/4096) and 4096 (usually one batch for these tables). Join
+//! shapes run on all three profiles with and without an index on the join
+//! column, so the hash, block nested-loop and index nested-loop kernels all
+//! run, and every strategy must return the same multiset of rows.
 
 use proptest::prelude::*;
 use sqldb::{Column, DataType, Database, EngineProfile, TableDump, Value};
@@ -113,15 +117,113 @@ const QUERIES: &[&str] = &[
     "SELECT COUNT(*) FROM t",
 ];
 
+/// One edge-like row `(src, dst, w, kf)`: small keys, so joins meet NULL
+/// and duplicate keys; `kf` is a FLOAT key that often equals an INT key
+/// (`Int 1 = Float 1.0` must match).
+fn arb_edge() -> BoxedStrategy<Vec<Value>> {
+    // a key is NULL one time in five
+    let key = |k: u8, v: i64| if k == 0 { Value::Null } else { Value::Int(v) };
+    (
+        (0u8..5, -2i64..5),
+        (0u8..5, -2i64..5),
+        arb_float(),
+        (0u8..4, -2i64..5),
+    )
+        .prop_map(move |((ks, src), (kd, dst), w, (kk, kf))| {
+            let kf = match kk {
+                0 => Value::Null,
+                1 => Value::Float(0.5),
+                _ => Value::Float(kf as f64),
+            };
+            vec![key(ks, src), key(kd, dst), Value::Float(w), kf]
+        })
+        .boxed()
+}
+
+fn arb_edges() -> BoxedStrategy<TableDump> {
+    proptest::collection::vec(arb_edge(), 0..30)
+        .prop_map(|rows| TableDump {
+            name: "u".to_string(),
+            columns: vec![
+                Column::new("src", DataType::Int),
+                Column::new("dst", DataType::Int),
+                Column::new("w", DataType::Float),
+                Column::new("kf", DataType::Float),
+            ],
+            primary_key: None,
+            rows,
+        })
+        .boxed()
+}
+
+/// Join shapes: INNER and LEFT over NULL and duplicate keys, INT-vs-FLOAT
+/// keys, a residual `ON` conjunct, a non-equi join, and the PageRank
+/// three-way self-join with its aggregate.
+const JOIN_QUERIES: &[&str] = &[
+    "SELECT t.c_int, u.w, u.dst FROM t JOIN u ON t.c_int = u.src",
+    "SELECT t.c_int, t.c_text, u.w FROM t LEFT JOIN u ON u.src = t.c_int",
+    "SELECT t.c_int, u.kf FROM t JOIN u ON t.c_int = u.kf",
+    "SELECT a.src, b.dst FROM u AS a LEFT JOIN u AS b ON a.kf = b.src",
+    "SELECT t.c_int, u.w FROM t LEFT JOIN u ON t.c_int = u.src AND u.w > t.c_float",
+    "SELECT t.c_int, u.src FROM t JOIN u ON t.c_int < u.src",
+    "SELECT t.c_int, COALESCE(0.85 * SUM(ir.c_float * e.w), 0.0), COUNT(e.src) \
+     FROM t LEFT JOIN u AS e ON t.c_int = e.dst \
+     LEFT JOIN t AS ir ON ir.c_int = e.src GROUP BY t.c_int",
+];
+
+/// `UPDATE … FROM` (PostgreSQL form) / `UPDATE … JOIN` (MySQL form) with
+/// duplicate FROM keys: the first match in FROM order wins, whatever the
+/// strategy.
+fn update_from(profile: EngineProfile) -> &'static str {
+    match profile {
+        EngineProfile::Postgres => "UPDATE t SET c_float = u.w FROM u WHERE t.c_int = u.src",
+        _ => "UPDATE t JOIN u ON t.c_int = u.src SET c_float = u.w",
+    }
+}
+
 /// Runs `sql` and collapses the outcome to something comparable: the rows
 /// on success, the error text on failure (error *equivalence* is part of
-/// the contract — the batch path must surface the row path's first error).
+/// the contract — every batch size must surface the same first error).
 fn outcome(db: &Database, sql: &str) -> Result<Vec<Vec<Value>>, String> {
     db.connect()
         .query(sql)
         .map(|r| r.rows)
         .map_err(|e| e.to_string())
 }
+
+/// Rows sorted by their text form (stable across NaN payloads), for
+/// multiset comparisons between join strategies.
+fn sorted(rows: &Result<Vec<Vec<Value>>, String>) -> Result<Vec<String>, ()> {
+    let mut v: Vec<String> = rows
+        .as_ref()
+        .map_err(|_| ())?
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    v.sort();
+    Ok(v)
+}
+
+/// A database holding `t` and `u`, with indexes on the join columns when
+/// `indexed` (which moves the nested-loop profiles onto index lookups).
+fn join_db(profile: EngineProfile, t: &TableDump, u: &TableDump, indexed: bool) -> Database {
+    let db = Database::new(profile);
+    db.import_table(t).unwrap();
+    db.import_table(u).unwrap();
+    if indexed {
+        let mut c = db.connect();
+        for ddl in [
+            "CREATE INDEX t_int ON t (c_int)",
+            "CREATE INDEX u_src ON u (src)",
+            "CREATE INDEX u_dst ON u (dst)",
+        ] {
+            c.execute(ddl).unwrap();
+        }
+    }
+    db
+}
+
+const SIZES: [Option<usize>; 3] = [Some(3), None, Some(4096)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -132,10 +234,9 @@ proptest! {
             let db = Database::new(profile);
             db.import_table(&dump).unwrap();
             for sql in QUERIES {
-                db.set_vectorized(false);
+                db.set_batch_size(Some(1));
                 let baseline = outcome(&db, sql);
-                db.set_vectorized(true);
-                for size in [Some(1), Some(3), None, Some(4096)] {
+                for size in SIZES {
                     db.set_batch_size(size);
                     let got = outcome(&db, sql);
                     prop_assert_eq!(
@@ -144,6 +245,45 @@ proptest! {
                     );
                 }
                 db.set_batch_size(None);
+            }
+        }
+    }
+
+    #[test]
+    fn join_kernels_match_row_at_a_time_on_every_profile(t in arb_dump(), u in arb_edges()) {
+        // multiset per query from the first strategy that ran it
+        let mut reference: Vec<Option<Result<Vec<String>, ()>>> = vec![None; JOIN_QUERIES.len() + 1];
+        for profile in EngineProfile::ALL {
+            for indexed in [false, true] {
+                let db = join_db(profile, &t, &u, indexed);
+                for (i, sql) in JOIN_QUERIES.iter().enumerate() {
+                    db.set_batch_size(Some(1));
+                    let baseline = outcome(&db, sql);
+                    for size in SIZES {
+                        db.set_batch_size(size);
+                        prop_assert_eq!(
+                            &baseline, &outcome(&db, sql),
+                            "{} / index={} / batch={:?} / {}", profile, indexed, size, sql
+                        );
+                    }
+                    let want = reference[i].get_or_insert_with(|| sorted(&baseline));
+                    prop_assert_eq!(
+                        &*want, &sorted(&baseline),
+                        "{} / index={}: strategies disagree on {}", profile, indexed, sql
+                    );
+                }
+                // UPDATE … FROM on a fresh copy per batch size
+                let mut after = Vec::new();
+                for size in [Some(1), Some(3), None] {
+                    let db = join_db(profile, &t, &u, indexed);
+                    db.set_batch_size(size);
+                    let applied = db.connect().execute(update_from(profile)).map(|o| o.rows_affected());
+                    prop_assert!(applied.is_ok(), "{}: {:?}", profile, applied);
+                    after.push((applied.ok(), outcome(&db, "SELECT c_int, c_float FROM t")));
+                }
+                prop_assert!(after.windows(2).all(|w| w[0] == w[1]), "{} / index={}: {:?}", profile, indexed, after);
+                let want = reference[JOIN_QUERIES.len()].get_or_insert_with(|| sorted(&after[0].1));
+                prop_assert_eq!(&*want, &sorted(&after[0].1), "{} / index={}: UPDATE … FROM", profile, indexed);
             }
         }
     }

@@ -18,11 +18,20 @@ use sqloop::{
     SqloopConfig, SqloopError, StorageFault, TornFs,
 };
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// A fresh directory per call: tests run concurrently in one process and
+/// several of them capture the same mode, so a shared path would let one
+/// test delete another's checkpoints mid-run.
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sqloop-cmx-{}-{tag}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "sqloop-cmx-{}-{}-{tag}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
