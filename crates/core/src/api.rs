@@ -2,16 +2,13 @@
 //! strategy, run it, report what happened (paper Fig. 2).
 
 use crate::analysis::{analyze, AnalysisOutcome};
-use crate::checkpoint::{load_latest_recovering, Checkpointer};
-use crate::common::PlanCacheProbe;
 use crate::config::{ExecutionMode, SqloopConfig};
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::{parse, IterativeCte, SqloopQuery};
-use crate::parallel::run_iterative_parallel_observed;
 use crate::progress::{ProgressSample, RecoveryCounters};
-use crate::single::{run_iterative_single_governed, run_recursive};
+use crate::run::{run_iterative, RunOutcome};
+use crate::single::run_recursive;
 use crate::translate::translate_sql;
-use crate::watchdog::{Governance, Watchdog};
 use dbcp::{driver_for_url, Driver};
 use obs::{EventKind, RegistrySnapshot, TraceData, TraceHandle, TraceSummary};
 use sqldb::{QueryResult, StmtOutput};
@@ -185,6 +182,34 @@ pub struct ExecutionReport {
     pub recovery_note: Option<String>,
 }
 
+impl ExecutionReport {
+    /// The report of one run; the per-run metric, engine and digest deltas
+    /// and the trace are filled in afterwards.
+    fn new(strategy: Strategy, out: RunOutcome, started: Instant) -> ExecutionReport {
+        ExecutionReport {
+            result: out.result,
+            strategy,
+            iterations: out.iterations,
+            last_change: out.last_change,
+            computes: out.computes,
+            gathers: out.gathers,
+            messages: out.messages,
+            worker_busy: out.worker_busy,
+            samples: out.samples,
+            recovery: out.recovery,
+            elapsed: started.elapsed(),
+            trace: None,
+            trace_data: None,
+            metrics: RegistrySnapshot::default(),
+            engine_stats: None,
+            digests: None,
+            cancelled: out.cancelled,
+            checkpoint: out.checkpoint,
+            recovery_note: out.recovery_note,
+        }
+    }
+}
+
 /// The SQLoop middleware instance.
 ///
 /// Owns a connection factory to one target engine plus a configuration;
@@ -322,27 +347,11 @@ impl SQLoop {
                     },
                     StmtOutput::Done => QueryResult::default(),
                 };
-                Ok(ExecutionReport {
+                let out = RunOutcome {
                     result,
-                    strategy: Strategy::Passthrough,
-                    iterations: 0,
-                    last_change: 0,
-                    computes: 0,
-                    gathers: 0,
-                    messages: 0,
-                    worker_busy: Duration::ZERO,
-                    samples: Vec::new(),
-                    recovery: RecoveryCounters::default(),
-                    elapsed: started.elapsed(),
-                    trace: None,
-                    trace_data: None,
-                    metrics: RegistrySnapshot::default(),
-                    engine_stats: None,
-                    digests: None,
-                    cancelled: false,
-                    checkpoint: None,
-                    recovery_note: None,
-                })
+                    ..RunOutcome::default()
+                };
+                Ok(ExecutionReport::new(Strategy::Passthrough, out, started))
             }
             SqloopQuery::Recursive(cte) => {
                 let mut conn = self.driver.connect()?;
@@ -352,27 +361,11 @@ impl SQLoop {
                     self.config.max_iterations,
                     self.config.keep_artifacts,
                 )?;
-                Ok(ExecutionReport {
-                    result: out.result,
-                    strategy: Strategy::RecursiveSingle,
-                    iterations: out.iterations,
-                    last_change: out.last_change,
-                    computes: 0,
-                    gathers: 0,
-                    messages: 0,
-                    worker_busy: Duration::ZERO,
-                    samples: Vec::new(),
-                    recovery: RecoveryCounters::default(),
-                    elapsed: started.elapsed(),
-                    trace: None,
-                    trace_data: None,
-                    metrics: RegistrySnapshot::default(),
-                    engine_stats: None,
-                    digests: None,
-                    cancelled: false,
-                    checkpoint: None,
-                    recovery_note: None,
-                })
+                Ok(ExecutionReport::new(
+                    Strategy::RecursiveSingle,
+                    out,
+                    started,
+                ))
             }
             SqloopQuery::Iterative(cte) => self.execute_iterative(&cte, started),
         }
@@ -390,79 +383,12 @@ impl SQLoop {
         if let Some(d) = self.config.deadline {
             self.config.cancel.set_deadline_in(d);
         }
-        let lift_mem = || {
-            self.driver.set_memory_limit(None);
-        };
         let run_single = |reason: Option<String>| -> SqloopResult<ExecutionReport> {
-            if self.config.max_mem.is_some() {
-                self.driver.set_memory_limit(self.config.max_mem);
-            }
-            let mut conn = self.driver.connect()?;
-            if self.config.statement_timeout.is_some() {
-                conn.set_statement_timeout(self.config.statement_timeout)?;
-            }
-            // a resume snapshot only applies here when Single is the
-            // configured mode: after a downgrade the snapshot describes the
-            // parallel layout and the fingerprint check would reject it
-            let mut recovery_note: Option<String> = None;
-            let resume = match &self.config.resume_from {
-                Some(path) if self.config.mode == ExecutionMode::Single => {
-                    let recovered = load_latest_recovering(path)?;
-                    recovery_note = recovered.note;
-                    Some(recovered.snapshot)
-                }
-                _ => None,
+            let (out, _) = run_iterative(&self.driver, cte, None, &self.config, &trace);
+            let strategy = Strategy::IterativeSingle {
+                fallback_reason: reason,
             };
-            let mut checkpointer = match &self.config.checkpoint {
-                Some(ck) => Some(Checkpointer::new(ck.clone())?),
-                None => None,
-            };
-            let mut governance = Governance {
-                watchdog: self
-                    .config
-                    .watchdog
-                    .is_active()
-                    .then(|| Watchdog::new(self.config.watchdog, &cte.termination)),
-                lift_mem: Some(&lift_mem),
-            };
-            let out = run_iterative_single_governed(
-                conn.as_mut(),
-                cte,
-                self.config.max_iterations,
-                self.config.keep_artifacts,
-                &trace,
-                &self.config.cancel,
-                checkpointer.as_mut(),
-                resume.as_ref(),
-                &mut governance,
-                PlanCacheProbe::new(&self.driver),
-            )?;
-            let checkpoint = checkpointer
-                .as_ref()
-                .and_then(|c| c.last_path().map(std::path::Path::to_path_buf));
-            Ok(ExecutionReport {
-                result: out.result,
-                strategy: Strategy::IterativeSingle {
-                    fallback_reason: reason,
-                },
-                iterations: out.iterations,
-                last_change: out.last_change,
-                computes: 0,
-                gathers: 0,
-                messages: 0,
-                worker_busy: Duration::ZERO,
-                samples: Vec::new(),
-                recovery: RecoveryCounters::default(),
-                elapsed: started.elapsed(),
-                trace: None,
-                trace_data: None,
-                metrics: RegistrySnapshot::default(),
-                engine_stats: None,
-                digests: None,
-                cancelled: out.cancelled,
-                checkpoint,
-                recovery_note,
-            })
+            Ok(ExecutionReport::new(strategy, out?, started))
         };
 
         let mut report = if self.config.mode == ExecutionMode::Single {
@@ -472,42 +398,20 @@ impl SQLoop {
             match analyze(cte, &columns)? {
                 AnalysisOutcome::NotParallelizable { reason } => run_single(Some(reason))?,
                 AnalysisOutcome::Parallelizable(plan) => {
-                    let (result, recovery) = run_iterative_parallel_observed(
-                        &self.driver,
-                        cte,
-                        plan,
-                        &self.config,
-                        &trace,
-                    );
-                    match result {
-                        Ok(run) => ExecutionReport {
-                            result: run.outcome.result,
-                            strategy: Strategy::IterativeParallel {
+                    match run_iterative(&self.driver, cte, Some(plan), &self.config, &trace) {
+                        (Ok(out), _) => {
+                            let strategy = Strategy::IterativeParallel {
                                 mode: self.config.mode,
-                            },
-                            iterations: run.outcome.iterations,
-                            last_change: run.outcome.last_change,
-                            computes: run.computes,
-                            gathers: run.gathers,
-                            messages: run.messages,
-                            worker_busy: run.worker_busy,
-                            samples: run.samples,
-                            recovery: run.recovery,
-                            elapsed: started.elapsed(),
-                            trace: None,
-                            trace_data: None,
-                            metrics: RegistrySnapshot::default(),
-                            engine_stats: None,
-                            digests: None,
-                            cancelled: run.outcome.cancelled,
-                            checkpoint: run.checkpoint,
-                            recovery_note: run.recovery_note,
-                        },
+                            };
+                            ExecutionReport::new(strategy, out, started)
+                        }
                         // budget exhausted on a transient fault: the engine
                         // is flaky, not the query — degrade to the
                         // single-threaded executor rather than surfacing
                         // the error
-                        Err(e) if self.config.downgrade_on_failure && e.is_retryable() => {
+                        (Err(e), recovery)
+                            if self.config.downgrade_on_failure && e.is_retryable() =>
+                        {
                             eprintln!(
                                 "sqloop: parallel execution failed ({e}); \
                                  downgrading to the single-threaded executor"
@@ -550,7 +454,7 @@ impl SQLoop {
                             };
                             report
                         }
-                        Err(e) => return Err(e),
+                        (Err(e), _) => return Err(e),
                     }
                 }
             }

@@ -35,7 +35,8 @@
 //! Checkpoints are only taken at **quiesce points** (no task in flight, no
 //! unread message table), which is why the snapshot does not need message
 //! tables or partial-task state — the partition tables alone are the loop
-//! state. See `parallel.rs` for how each scheduler reaches that point.
+//! state. Every mode takes them at its round boundary (`run.rs`); see the
+//! parallel `quiesce` in `parallel.rs` for how the schedulers get there.
 
 use crate::ckpt_io::{CkptIo, RealFs};
 use crate::common::run;

@@ -143,6 +143,15 @@ impl CteSchema {
         &self.columns[0]
     }
 
+    /// `(name, type)` pairs in table order, as a table dump takes them.
+    pub fn typed_columns(&self) -> Vec<(String, DataType)> {
+        self.columns
+            .iter()
+            .cloned()
+            .zip(self.types.iter().copied())
+            .collect()
+    }
+
     /// Renders the `CREATE TABLE` column list body; `with_key` adds
     /// `PRIMARY KEY` on the first column (the iterative CTE's `Rid`).
     pub fn create_columns_sql(&self, with_key: bool) -> String {

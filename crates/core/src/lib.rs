@@ -45,6 +45,7 @@ pub mod parallel;
 pub mod parallel_sql;
 pub mod progress;
 mod router;
+mod run;
 pub mod single;
 pub mod supervisor;
 pub mod translate;
@@ -58,11 +59,8 @@ pub use config::{ExecutionMode, PrioritySpec, SqloopConfig, TraceConfig};
 pub use dbcp::CancelToken;
 pub use error::{SqloopError, SqloopResult};
 pub use grammar::{parse, IterativeCte, RecursiveCte, SqloopQuery, Termination};
-pub use parallel::{
-    run_iterative_parallel, run_iterative_parallel_observed, run_iterative_parallel_traced,
-    ParallelRun,
-};
 pub use progress::{ProgressSample, RecoveryCounters, Sampler};
 pub use router::SqloopRouter;
-pub use single::{run_iterative_single, run_iterative_single_observed, run_recursive, RunOutcome};
-pub use watchdog::{Governance, Watchdog, WatchdogConfig};
+pub use run::{run_iterative, RunOutcome};
+pub use single::run_recursive;
+pub use watchdog::{Watchdog, WatchdogConfig};

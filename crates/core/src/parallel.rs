@@ -23,58 +23,26 @@
 //! the single-threaded executor (see `api.rs`).
 
 use crate::analysis::ParallelPlan;
-use crate::checkpoint::{
-    check_fingerprint, dump_table_sql, load_latest_recovering, restore_table_sql, run_fingerprint,
-    trace_checkpoint, Checkpointer, LoopSnapshot, PartSnap,
-};
+use crate::checkpoint::{dump_table_sql, restore_table_sql, LoopSnapshot, PartSnap};
 use crate::common::{
-    create_cte_table, refresh_delta_snapshot, run, run_query, CteNames, CteSchema, DeltaRefresher,
-    PlanCacheProbe, TerminationProbe,
+    create_cte_table, refresh_delta_snapshot, run, run_query, CteNames, CteSchema,
 };
 use crate::config::{ExecutionMode, SqloopConfig};
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::{IterativeCte, Termination};
 use crate::parallel_sql::SqlGen;
-use crate::progress::{ProgressSample, RecoveryCounters, Sampler};
-use crate::single::RunOutcome;
+use crate::progress::Sampler;
+use crate::run::{LoopState, RunCtx, RunOutcome, Verdict};
 use crate::supervisor::{now_us, panic_detail, HeartbeatSlot, SupervisorMetrics, STATE_BUSY};
 use crate::translate::{translate_query_to_sql, translate_sql};
-use crate::watchdog::{Governance, Watchdog};
+use crate::watchdog::Watchdog;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dbcp::{CancelToken, Connection, Driver, PipelineStep, PreparedStatement, RetryPolicy};
 use obs::{EventKind, Span, SpanKind, SpanOutcome, TraceHandle};
-use sqldb::{DataType, DbError, Row, StmtOutput, Value};
+use sqldb::{DataType, Row, StmtOutput, TableDump, Value};
 use std::collections::{HashMap, VecDeque};
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Report of one parallel run.
-#[derive(Debug, Clone)]
-pub struct ParallelRun {
-    /// Result and iteration counts.
-    pub outcome: RunOutcome,
-    /// Compute tasks executed.
-    pub computes: u64,
-    /// Gather tasks executed.
-    pub gathers: u64,
-    /// Non-empty message tables created.
-    pub messages: u64,
-    /// Aggregate worker time spent executing tasks. On a multi-core host,
-    /// `worker_busy / wall` approaches the worker-thread count; on this
-    /// reproduction's single-CPU substrate it stays near 1 however many
-    /// threads run (see EXPERIMENTS.md).
-    pub worker_busy: std::time::Duration,
-    /// Convergence samples (when a sampler was configured).
-    pub samples: Vec<ProgressSample>,
-    /// What fault recovery had to do (all zero on a clean run).
-    pub recovery: RecoveryCounters,
-    /// Path of the last checkpoint written (when checkpointing is on).
-    pub checkpoint: Option<PathBuf>,
-    /// Human-readable note when resume had to fall back past corrupt or
-    /// unreadable snapshots (`None` on a clean load or a fresh run).
-    pub recovery_note: Option<String>,
-}
 
 #[derive(Debug, Clone)]
 enum TaskKind {
@@ -127,21 +95,16 @@ struct Done {
     reconnects: u32,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PartState {
-    pending: bool,
+    /// What a checkpoint carries: Compute count, message watermark,
+    /// pending delta, and the strict Gather→Compute alternation (paper
+    /// Fig. 3) — `prefer_compute` is set after a Gather so the next visit
+    /// runs the Compute instead of re-gathering.
+    saved: PartSnap,
     cursor: usize,
     in_flight: bool,
-    computes: u64,
-    msg_seq: u64,
     priority: f64,
-    /// Strict Gather→Compute alternation (paper Fig. 3): set after a
-    /// Gather so the next visit runs the Compute instead of re-gathering.
-    prefer_compute: bool,
-    /// Round bookkeeping for the blind Async scheduler.
-    round_gathered: bool,
-    /// See [`PartState::round_gathered`].
-    round_computed: bool,
 }
 
 #[derive(Debug)]
@@ -153,48 +116,6 @@ struct MsgState {
     live: bool,
     /// Destination partitions with matching rows (`None` = broadcast).
     targets: Option<Vec<usize>>,
-}
-
-/// Runs a parallelizable iterative CTE with the configured scheduler.
-///
-/// # Errors
-/// Engine/translation errors from any task (after the configured replay
-/// budget), configuration errors, or the `max_iterations` safety cap.
-pub fn run_iterative_parallel(
-    driver: &Arc<dyn Driver>,
-    cte: &IterativeCte,
-    plan: ParallelPlan,
-    config: &SqloopConfig,
-) -> SqloopResult<ParallelRun> {
-    run_iterative_parallel_traced(driver, cte, plan, config).0
-}
-
-/// Like [`run_iterative_parallel`], but also returns the recovery counters
-/// when the run *fails* — a `ParallelRun` never materializes on that path,
-/// yet the downgrade report still wants to show what recovery attempted.
-pub fn run_iterative_parallel_traced(
-    driver: &Arc<dyn Driver>,
-    cte: &IterativeCte,
-    plan: ParallelPlan,
-    config: &SqloopConfig,
-) -> (SqloopResult<ParallelRun>, RecoveryCounters) {
-    run_iterative_parallel_observed(driver, cte, plan, config, &TraceHandle::disabled())
-}
-
-/// Like [`run_iterative_parallel_traced`], recording spans (one per
-/// Compute/Gather task attempt) and events (retries, reconnects, faults,
-/// round boundaries) into `trace`. With a disabled handle the
-/// instrumentation costs one branch per would-be record.
-pub fn run_iterative_parallel_observed(
-    driver: &Arc<dyn Driver>,
-    cte: &IterativeCte,
-    plan: ParallelPlan,
-    config: &SqloopConfig,
-    trace: &TraceHandle,
-) -> (SqloopResult<ParallelRun>, RecoveryCounters) {
-    let mut recovery = RecoveryCounters::default();
-    let result = run_parallel_inner(driver, cte, plan, config, &mut recovery, trace);
-    (result, recovery)
 }
 
 /// Drops everything partitioning may have created. Every drop is
@@ -227,50 +148,26 @@ fn parallel_setup(
     names: &CteNames,
     resume: Option<&LoopSnapshot>,
 ) -> SqloopResult<Arc<SqlGen>> {
-    if let Some(snap) = resume {
+    let schema = match resume {
         // schema from the dumped partition-0 columns (hidden bookkeeping
         // columns excluded) — the seed query never runs on resume
-        let p0 = names.partition(0);
-        let dump0 = snap.tables.iter().find(|t| t.name == p0).ok_or_else(|| {
-            SqloopError::Checkpoint(format!("snapshot holds no table named {p0}"))
-        })?;
-        let visible: Vec<_> = dump0
-            .columns
-            .iter()
-            .filter(|c| !c.name.starts_with("__"))
-            .collect();
-        let schema = CteSchema {
-            columns: visible.iter().map(|c| c.name.clone()).collect(),
-            types: visible.iter().map(|c| c.data_type).collect(),
-        };
-        let gen = Arc::new(SqlGen::new(
-            names.clone(),
-            schema,
-            plan,
-            config.partitions,
-            config.materialize_join,
-        ));
-        // stale state from the interrupted run (same database) goes first
-        let _ = run(main, &format!("DROP VIEW IF EXISTS {}", names.table));
-        let _ = run(main, &format!("DROP TABLE IF EXISTS {}", names.table));
-        for t in &snap.tables {
-            restore_table_sql(main, t, config.insert_batch_rows)?;
+        Some(snap) => {
+            let p0 = names.partition(0);
+            let dump0 = snap.tables.iter().find(|t| t.name == p0).ok_or_else(|| {
+                SqloopError::Checkpoint(format!("snapshot holds no table named {p0}"))
+            })?;
+            let visible: Vec<_> = dump0
+                .columns
+                .iter()
+                .filter(|c| !c.name.starts_with("__"))
+                .collect();
+            CteSchema {
+                columns: visible.iter().map(|c| c.name.clone()).collect(),
+                types: visible.iter().map(|c| c.data_type).collect(),
+            }
         }
-        run(main, &gen.create_view_sql())?;
-        if config.materialize_join {
-            run(main, &format!("DROP TABLE IF EXISTS {}", names.mjoin()))?;
-            run(main, &gen.create_mjoin_sql())?;
-        }
-        let _ = run(main, &gen.join_index_sql());
-        if cte.termination.needs_delta_snapshot()
-            && !snap.tables.iter().any(|t| t.name == names.delta_snapshot())
-        {
-            refresh_delta_snapshot(main, names)?;
-        }
-        return Ok(gen);
-    }
-
-    let schema = create_cte_table(main, &cte.name, &cte.columns, &cte.seed, true, true)?;
+        None => create_cte_table(main, &cte.name, &cte.columns, &cte.seed, true, true)?,
+    };
     let gen = Arc::new(SqlGen::new(
         names.clone(),
         schema,
@@ -278,14 +175,34 @@ fn parallel_setup(
         config.partitions,
         config.materialize_join,
     ));
-
-    // Rmjoin while R is still a base table (paper §V-B), plus the join index
-    if config.materialize_join {
-        run(main, &format!("DROP TABLE IF EXISTS {}", names.mjoin()))?;
-        run(main, &gen.create_mjoin_sql())?;
+    // Rmjoin (from the base table R on a fresh run, paper §V-B) and the
+    // join index, which may already exist from a previous run on the edge
+    // table
+    let mjoin_and_index = |main: &mut dyn Connection| -> SqloopResult<()> {
+        if config.materialize_join {
+            run(main, &format!("DROP TABLE IF EXISTS {}", names.mjoin()))?;
+            run(main, &gen.create_mjoin_sql())?;
+        }
+        let _ = run(main, &gen.join_index_sql());
+        Ok(())
+    };
+    if let Some(snap) = resume {
+        // stale state from the interrupted run (same database) goes first
+        let _ = run(main, &format!("DROP VIEW IF EXISTS {}", names.table));
+        let _ = run(main, &format!("DROP TABLE IF EXISTS {}", names.table));
+        for t in &snap.tables {
+            restore_table_sql(main, t, config.insert_batch_rows)?;
+        }
+        run(main, &gen.create_view_sql())?;
+        mjoin_and_index(main)?;
+        if cte.termination.needs_delta_snapshot()
+            && !snap.tables.iter().any(|t| t.name == names.delta_snapshot())
+        {
+            refresh_delta_snapshot(main, names)?;
+        }
+        return Ok(gen);
     }
-    // the index may already exist from a previous run on the edge table
-    let _ = run(main, &gen.join_index_sql());
+    mjoin_and_index(main)?;
 
     // hash-partition R on Rid, middleware-side
     let col_list = gen.schema().columns.join(", ");
@@ -317,65 +234,15 @@ fn parallel_setup(
     Ok(gen)
 }
 
-fn run_parallel_inner(
-    driver: &Arc<dyn Driver>,
-    cte: &IterativeCte,
-    plan: ParallelPlan,
-    config: &SqloopConfig,
-    recovery_out: &mut RecoveryCounters,
-    trace: &TraceHandle,
-) -> SqloopResult<ParallelRun> {
-    config.validate().map_err(SqloopError::Config)?;
-    // governance: apply the engine memory budget for the whole run (the
-    // governed-abort path lifts it again before the final checkpoint) and
-    // push the statement deadline onto every connection the run opens
-    if config.max_mem.is_some() {
-        driver.set_memory_limit(config.max_mem);
-    }
-    let lift_mem = || {
-        driver.set_memory_limit(None);
-    };
-    let mut main = driver.connect()?;
-    if config.statement_timeout.is_some() {
-        main.set_statement_timeout(config.statement_timeout)?;
-    }
+/// Runs a parallelizable iterative CTE with the configured scheduler (the
+/// parallel half of [`crate::run_iterative`]). The recovery counters land
+/// in `ctx`, failed run or not.
+pub(crate) fn run_parallel(ctx: &mut RunCtx<'_>, plan: ParallelPlan) -> SqloopResult<RunOutcome> {
+    let (driver, config, cte, trace) = (ctx.driver, ctx.config, ctx.cte, ctx.trace);
+    let mut main = ctx.connect()?;
     let names = CteNames::new(&cte.name);
-
-    let fingerprint = run_fingerprint(cte, config.mode.label(), config.partitions);
-    let mut recovery_note: Option<String> = None;
-    let resume_snap = match &config.resume_from {
-        Some(path) => {
-            let recovered = load_latest_recovering(path)?;
-            let snap = recovered.snapshot;
-            recovery_note = recovered.note;
-            check_fingerprint(&snap, fingerprint, config.mode.label())?;
-            if snap.parts.len() != config.partitions {
-                return Err(SqloopError::Checkpoint(format!(
-                    "snapshot carries {} partition states but this run has {} partitions",
-                    snap.parts.len(),
-                    config.partitions
-                )));
-            }
-            Some(snap)
-        }
-        None => None,
-    };
-    // fail before any table exists when the checkpoint dir is unusable
-    let mut checkpointer = match &config.checkpoint {
-        Some(ck) => Some(Checkpointer::new(ck.clone())?),
-        None => None,
-    };
-
-    // the master connection's recurring statements, prepared once at plan
-    // time and executed as handles every round: the termination probe, the
-    // in-place delta refresh, and one priority query per partition
+    // one priority query per partition, prepared once at plan time
     let profile = main.profile();
-    let probe = TerminationProbe::new(&cte.name, &cte.termination, profile)?;
-    let refresher = cte
-        .termination
-        .needs_delta_snapshot()
-        .then(|| DeltaRefresher::new(&names, profile))
-        .transpose()?;
     let prio_stmts = match &config.priority {
         Some(spec) => (0..config.partitions)
             .map(|x| {
@@ -394,7 +261,7 @@ fn run_parallel_inner(
         plan,
         config,
         &names,
-        resume_snap.as_ref(),
+        ctx.resume.as_ref(),
     ) {
         Ok(gen) => gen,
         Err(e) => {
@@ -405,27 +272,7 @@ fn run_parallel_inner(
             return Err(e);
         }
     };
-    let start_round = resume_snap.as_ref().map(|s| s.round).unwrap_or(0);
-    if let Some(snap) = &resume_snap {
-        trace.event(
-            EventKind::Resume,
-            None,
-            Some(start_round),
-            format!("resumed {} run at round {start_round}", snap.mode),
-        );
-    }
-    let part_cols: Vec<(String, DataType)> = gen
-        .schema()
-        .columns
-        .iter()
-        .cloned()
-        .zip(gen.schema().types.iter().copied())
-        .chain(
-            gen.hidden_columns()
-                .into_iter()
-                .map(|c| (c.to_string(), DataType::Float)),
-        )
-        .collect();
+    ctx.begin_rounds();
 
     // convergence sampler
     let sampler = match (&config.sample_interval, &config.progress_query) {
@@ -449,37 +296,21 @@ fn run_parallel_inner(
         pool.spawn_worker()?;
     }
 
-    let parts = match &resume_snap {
-        Some(snap) => snap
-            .parts
-            .iter()
-            .map(|p| PartState {
-                pending: p.pending,
-                cursor: 0,
-                in_flight: false,
-                computes: p.computes,
-                msg_seq: p.msg_seq,
-                priority: 0.0,
-                prefer_compute: p.prefer_compute,
-                round_gathered: false,
-                round_computed: false,
-            })
-            .collect(),
-        None => vec![
-            PartState {
-                pending: true,
-                cursor: 0,
-                in_flight: false,
-                computes: 0,
-                msg_seq: 0,
-                priority: 0.0,
-                prefer_compute: false,
-                round_gathered: false,
-                round_computed: false,
-            };
-            config.partitions
-        ],
+    let fresh = PartSnap {
+        pending: true,
+        ..PartSnap::default()
     };
+    let saved = match &ctx.resume {
+        Some(snap) => snap.parts.clone(),
+        None => vec![fresh; config.partitions],
+    };
+    let parts: Vec<PartState> = saved
+        .into_iter()
+        .map(|saved| PartState {
+            saved,
+            ..PartState::default()
+        })
+        .collect();
     let sup = pool.sup.clone();
     let npartitions = parts.len();
     let mut scheduler = Scheduler {
@@ -487,8 +318,8 @@ fn run_parallel_inner(
         config,
         tc: &cte.termination,
         main: main.as_mut(),
-        task_tx: &task_tx,
-        done_rx: &done_rx,
+        task_tx,
+        done_rx,
         pool: &mut pool,
         dispatched: HashMap::new(),
         next_task_id: 1,
@@ -496,130 +327,49 @@ fn run_parallel_inner(
         parts,
         msgs: Vec::new(),
         in_flight: 0,
-        computes: 0,
-        gathers: 0,
-        messages: 0,
-        rr: 0,
+        out: RunOutcome::default(),
         all_msgs: Vec::new(),
         free_slots: vec![Vec::new(); npartitions],
         slots_created: vec![0; npartitions],
-        needs_delta: cte.termination.needs_delta_snapshot(),
-        probe,
-        refresher,
         prio_stmts,
-        worker_busy: std::time::Duration::ZERO,
-        retries: 0,
-        reconnects: 0,
-        task_failures: 0,
-        worker_panics: 0,
-        stalls: 0,
-        replacements: 0,
         aborting: false,
         trace,
-        cache_probe: PlanCacheProbe::new(driver),
-        round: start_round + 1,
-        cancel: &config.cancel,
-        checkpointer,
-        fingerprint,
-        part_cols,
-        start_round,
-        cancelled: false,
-        governance: Governance {
-            watchdog: config
-                .watchdog
-                .is_active()
-                .then(|| Watchdog::new(config.watchdog, &cte.termination)),
-            lift_mem: Some(&lift_mem),
-        },
+        round: ctx.rounds + 1,
+        round_changed: 0,
+        round_tasks: 0,
     };
 
-    let sched_result = match config.mode {
-        ExecutionMode::Sync => scheduler.run_sync(),
-        ExecutionMode::Async | ExecutionMode::AsyncPrio => scheduler.run_async(),
-        ExecutionMode::Single => Err(SqloopError::Config(
-            "single mode must use the single-threaded executor".into(),
-        )),
-    };
-    let mut stats = SchedStats {
-        computes: scheduler.computes,
-        gathers: scheduler.gathers,
-        messages: scheduler.messages,
-        worker_busy: scheduler.worker_busy,
-        all_msgs: std::mem::take(&mut scheduler.all_msgs),
-        recovery: RecoveryCounters {
-            task_retries: scheduler.retries,
-            worker_reconnects: scheduler.reconnects,
-            task_failures: scheduler.task_failures,
-            worker_panics: scheduler.worker_panics,
-            stalls: scheduler.stalls,
-            worker_replacements: scheduler.replacements,
-            downgraded: false,
-        },
-    };
-    let was_cancelled = scheduler.cancelled;
-    checkpointer = scheduler.checkpointer.take();
-    let checkpoint_path = checkpointer
-        .as_ref()
-        .and_then(|c| c.last_path().map(Path::to_path_buf));
+    let result = scheduler
+        .run_rounds(ctx, Policy::new(config.mode, npartitions))
+        .and_then(|()| {
+            let final_sql = translate_query_to_sql(&cte.final_query, profile);
+            Ok(scheduler.main.query(&final_sql)?)
+        })
+        .map_err(|e| ctx.govern(&mut scheduler, e));
+    let mut outcome = std::mem::take(&mut scheduler.out);
+    let all_msgs = std::mem::take(&mut scheduler.all_msgs);
+    // dropping the scheduler closes the task stream; then stop workers and
+    // collect them. Panics that escaped a worker loop surface here as
+    // counted recoveries, never silently — and abandoned workers (possibly
+    // hung forever) are detached, not joined, so cleanup can't re-wedge a
+    // run the supervisor already saved
     drop(scheduler);
-
-    // stop workers and collect them; panics that escaped a worker loop
-    // surface here as counted recoveries, never silently — and abandoned
-    // workers (possibly hung forever) are detached, not joined, so
-    // cleanup can't re-wedge a run the supervisor already saved
-    drop(task_tx);
-    stats.recovery.worker_panics += pool.shutdown();
-    *recovery_out = stats.recovery;
+    outcome.recovery.worker_panics += pool.shutdown();
+    ctx.recovery = outcome.recovery;
     let samples = sampler.map(Sampler::stop).unwrap_or_default();
-
-    let finish = |main: &mut dyn Connection| -> SqloopResult<()> {
-        if !config.keep_artifacts {
-            for sql in gen.cleanup_sql() {
-                let _ = run(main, &sql);
-            }
-            for m in &stats.all_msgs {
-                let _ = run(main, &format!("DROP TABLE IF EXISTS {m}"));
-            }
+    if !config.keep_artifacts {
+        for sql in gen.cleanup_sql() {
+            let _ = run(main.as_mut(), &sql);
         }
-        Ok(())
-    };
-
-    match sched_result {
-        Ok((rounds, last_change)) => {
-            let final_sql = translate_query_to_sql(&cte.final_query, main.profile());
-            let result = main.query(&final_sql)?;
-            finish(main.as_mut())?;
-            Ok(ParallelRun {
-                outcome: RunOutcome {
-                    result,
-                    iterations: rounds,
-                    last_change,
-                    cancelled: was_cancelled,
-                },
-                computes: stats.computes,
-                gathers: stats.gathers,
-                messages: stats.messages,
-                worker_busy: stats.worker_busy,
-                samples,
-                recovery: stats.recovery,
-                checkpoint: checkpoint_path,
-                recovery_note,
-            })
-        }
-        Err(e) => {
-            finish(main.as_mut())?;
-            Err(e)
+        for m in &all_msgs {
+            let _ = run(main.as_mut(), &format!("DROP TABLE IF EXISTS {m}"));
         }
     }
-}
-
-struct SchedStats {
-    computes: u64,
-    gathers: u64,
-    messages: u64,
-    worker_busy: std::time::Duration,
-    all_msgs: Vec<String>,
-    recovery: RecoveryCounters,
+    Ok(RunOutcome {
+        result: result?,
+        samples,
+        ..outcome
+    })
 }
 
 /// Everything one worker thread needs, bundled so replacements are spawned
@@ -994,8 +744,8 @@ struct Scheduler<'a> {
     config: &'a SqloopConfig,
     tc: &'a Termination,
     main: &'a mut dyn Connection,
-    task_tx: &'a Sender<Task>,
-    done_rx: &'a Receiver<Done>,
+    task_tx: Sender<Task>,
+    done_rx: Receiver<Done>,
     /// The worker pool: the supervisor inspects heartbeats, abandons stuck
     /// workers and spawns replacements through it.
     pool: &'a mut WorkerPool,
@@ -1009,10 +759,9 @@ struct Scheduler<'a> {
     parts: Vec<PartState>,
     msgs: Vec<MsgState>,
     in_flight: usize,
-    computes: u64,
-    gathers: u64,
-    messages: u64,
-    rr: usize,
+    /// The run's counters: tasks, messages, worker time, and what fault
+    /// recovery had to do.
+    out: RunOutcome,
     all_msgs: Vec<String>,
     /// Per-partition free lists of reusable message-slot tables. A Compute
     /// pops a slot (creating one only when the list is empty), truncates
@@ -1023,53 +772,19 @@ struct Scheduler<'a> {
     free_slots: Vec<Vec<String>>,
     /// Per-partition count of slots ever created (next slot index).
     slots_created: Vec<usize>,
-    needs_delta: bool,
-    /// Termination probe, prepared once at plan time.
-    probe: TerminationProbe,
-    /// Per-round in-place `<R>delta` refresh (`None` when no condition
-    /// reads the snapshot).
-    refresher: Option<DeltaRefresher>,
     /// One prepared priority query per partition (empty without a spec).
     prio_stmts: Vec<PreparedStatement>,
-    worker_busy: std::time::Duration,
-    /// Replay dispatches of failed tasks.
-    retries: u64,
-    /// Worker reconnects reported via [`Done::reconnects`].
-    reconnects: u64,
-    /// Task failures observed (each failed attempt counts once).
-    task_failures: u64,
-    /// Worker panics absorbed (caught at the task boundary or dead-thread
-    /// verdicts), counted when their failed `Done` is processed.
-    worker_panics: u64,
-    /// Stall verdicts rendered by the supervisor.
-    stalls: u64,
-    /// Replacement workers spawned for abandoned ones.
-    replacements: u64,
     /// Set on the first unrecoverable task failure: stop replaying, let
     /// the remaining in-flight tasks drain so the run can abort cleanly.
     aborting: bool,
     /// Trace recorder (no-op when tracing is off).
     trace: &'a TraceHandle,
-    /// Per-round plan-cache hit/miss attribution, emitted at round ticks.
-    cache_probe: PlanCacheProbe,
-    /// Current 1-based round/wave, stamped into tasks for the trace.
+    /// Current 1-based round, stamped into tasks for the trace.
     round: u64,
-    /// Cooperative cancellation, checked at quiesce points and while
-    /// dispatching.
-    cancel: &'a CancelToken,
-    /// Periodic durable snapshots (`None` = checkpointing off).
-    checkpointer: Option<Checkpointer>,
-    /// [`run_fingerprint`] of this run, stamped into every snapshot.
-    fingerprint: u64,
-    /// Full partition-table column list (declared + hidden), for dumps.
-    part_cols: Vec<(String, DataType)>,
-    /// Completed rounds carried over from a resumed checkpoint.
-    start_round: u64,
-    /// Set when the run stopped at a cancellation point.
-    cancelled: bool,
-    /// Resource governance: watchdog state and the memory-limit lift hook
-    /// used by governed aborts.
-    governance: Governance<'a>,
+    /// Rows changed so far in the current round.
+    round_changed: u64,
+    /// Tasks completed in the current round (AsyncP's waves count them).
+    round_tasks: usize,
 }
 
 impl Scheduler<'_> {
@@ -1080,7 +795,7 @@ impl Scheduler<'_> {
         // format stability) but no longer names the message table: slots
         // have generation-stable names, so the statement texts below are
         // byte-identical every round and stay hot in the plan cache.
-        self.parts[x].msg_seq += 1;
+        self.parts[x].saved.msg_seq += 1;
         let mut stmts = Vec::with_capacity(6);
         let msg = match self.free_slots[x].pop() {
             Some(slot) => {
@@ -1125,11 +840,7 @@ impl Scheduler<'_> {
     /// prefixes. `None` when there is nothing to read.
     fn build_gather(&mut self, x: usize) -> Option<Task> {
         let len = self.msgs.len();
-        let mut tables: Vec<&str> = self.msgs[self.parts[x].cursor..len]
-            .iter()
-            .filter(|m| m.live && m.targets.as_ref().map(|t| t.contains(&x)).unwrap_or(true))
-            .map(|m| m.name.as_str())
-            .collect();
+        let mut tables: Vec<&str> = self.unread(x).map(|m| m.name.as_str()).collect();
         // canonical order: worker completion order varies run to run, but
         // the slot SET is stable — sorting makes the gather text
         // generation-stable so it stays hot in the plan cache too
@@ -1241,7 +952,7 @@ impl Scheduler<'_> {
                 // raced with a completion already consumed; nothing to
                 // replay, but the worker is gone — replace it below
                 self.pool.spawn_worker()?;
-                self.replacements += 1;
+                self.out.recovery.worker_replacements += 1;
                 self.sup.worker_replacements.inc();
                 continue;
             };
@@ -1258,7 +969,7 @@ impl Scheduler<'_> {
                     detail: "worker thread exited mid-task".into(),
                 }
             } else {
-                self.stalls += 1;
+                self.out.recovery.stalls += 1;
                 self.sup.stalls_detected.inc();
                 self.trace.event(
                     EventKind::Stall,
@@ -1276,7 +987,7 @@ impl Scheduler<'_> {
                 }
             };
             let replacement = self.pool.spawn_worker()?;
-            self.replacements += 1;
+            self.out.recovery.worker_replacements += 1;
             self.sup.worker_replacements.inc();
             self.trace.event(
                 EventKind::Replace,
@@ -1306,19 +1017,20 @@ impl Scheduler<'_> {
         Ok(None)
     }
 
-    /// Processes one completion; returns the number of changed rows.
+    /// Processes one completion, adding its changed rows to the round's
+    /// tally.
     ///
     /// A failed task whose error is retryable is re-dispatched resuming at
     /// the failed statement (carrying the partial results along), until the
     /// replay budget runs out — then the failure is wrapped as
     /// [`SqloopError::Task`] and the scheduler aborts.
-    fn handle_done(&mut self, d: Done) -> SqloopResult<u64> {
+    fn handle_done(&mut self, d: Done) -> SqloopResult<()> {
         self.dispatched.remove(&d.task.task_id);
         self.in_flight -= 1;
         let x = d.task.partition;
         self.parts[x].in_flight = false;
-        self.worker_busy += d.elapsed;
-        self.reconnects += u64::from(d.reconnects);
+        self.out.worker_busy += d.elapsed;
+        self.out.recovery.worker_reconnects += u64::from(d.reconnects);
         if self.trace.is_enabled() {
             // one event per reconnect so the trace tally matches
             // RecoveryCounters::worker_reconnects exactly
@@ -1332,9 +1044,9 @@ impl Scheduler<'_> {
             }
         }
         if let Some((failed_at, e)) = d.error {
-            self.task_failures += 1;
+            self.out.recovery.task_failures += 1;
             if matches!(e, SqloopError::WorkerPanic { .. }) {
-                self.worker_panics += 1;
+                self.out.recovery.worker_panics += 1;
             }
             self.trace.event(
                 EventKind::Fault,
@@ -1348,7 +1060,7 @@ impl Scheduler<'_> {
             task.start_at = failed_at;
             if e.is_retryable() && task.attempt <= self.config.task_retries && !self.aborting {
                 task.attempt += 1;
-                self.retries += 1;
+                self.out.recovery.task_retries += 1;
                 self.trace.event(
                     EventKind::Retry,
                     Some(x as u32),
@@ -1356,7 +1068,7 @@ impl Scheduler<'_> {
                     format!("replaying from stmt {failed_at} (attempt {})", task.attempt),
                 );
                 self.dispatch(task)?;
-                return Ok(0);
+                return Ok(());
             }
             self.aborting = true;
             return Err(SqloopError::Task {
@@ -1373,19 +1085,20 @@ impl Scheduler<'_> {
         } = d.task;
         acc_rows.extend(d.rows_outputs);
         let changed = acc_changed + d.changed;
+        self.round_changed += changed;
         let mut refresh = false;
         match &kind {
             TaskKind::Compute { msg_table } => {
-                self.computes += 1;
-                self.parts[x].computes += 1;
-                self.parts[x].pending = false;
-                self.parts[x].prefer_compute = false;
+                self.out.computes += 1;
+                self.parts[x].saved.computes += 1;
+                self.parts[x].saved.pending = false;
+                self.parts[x].saved.prefer_compute = false;
                 let msg_rows = acc_rows
                     .first()
                     .and_then(|r| r.scalar().and_then(Value::as_i64))
                     .unwrap_or(0);
                 if msg_rows > 0 {
-                    self.messages += 1;
+                    self.out.messages += 1;
                     // normalize SQL truncating modulo to rem_euclid buckets
                     let n = self.parts.len() as i64;
                     let targets = acc_rows.get(1).map(|r| {
@@ -1412,11 +1125,11 @@ impl Scheduler<'_> {
                 }
             }
             TaskKind::Gather { read_until } => {
-                self.gathers += 1;
+                self.out.gathers += 1;
                 self.parts[x].cursor = *read_until;
                 if changed > 0 {
-                    self.parts[x].pending = true;
-                    self.parts[x].prefer_compute = true;
+                    self.parts[x].saved.pending = true;
+                    self.parts[x].saved.prefer_compute = true;
                     refresh = true;
                 }
                 self.gc_messages();
@@ -1425,7 +1138,7 @@ impl Scheduler<'_> {
         if self.config.mode == ExecutionMode::AsyncPrio && refresh {
             self.refresh_priority(x);
         }
-        Ok(changed)
+        Ok(())
     }
 
     /// Recycles message slots every partition has consumed (GC; the paper
@@ -1468,375 +1181,77 @@ impl Scheduler<'_> {
         self.parts[x].priority = if v.is_nan() { worst } else { v };
     }
 
-    fn init_priorities(&mut self) {
+    fn compute_allowed(&self, x: usize) -> bool {
+        match self.tc {
+            Termination::Iterations(n) => self.parts[x].saved.computes < *n,
+            _ => true,
+        }
+    }
+
+    /// Live unread message tables targeted at partition `x`.
+    fn unread(&self, x: usize) -> impl Iterator<Item = &MsgState> {
+        self.msgs[self.parts[x].cursor..]
+            .iter()
+            .filter(move |m| m.live && m.targets.as_ref().is_none_or(|t| t.contains(&x)))
+    }
+
+    /// True when partition `x` has a task in flight, a pending delta it may
+    /// still apply, or unread messages.
+    fn has_work(&self, x: usize) -> bool {
+        let p = &self.parts[x];
+        p.in_flight
+            || (p.saved.pending && self.compute_allowed(x))
+            || self.unread(x).next().is_some()
+    }
+
+    fn any_work_left(&self) -> bool {
+        (0..self.parts.len()).any(|x| self.has_work(x))
+    }
+
+    /// Waits for all in-flight tasks.
+    fn drain(&mut self) -> SqloopResult<()> {
+        while self.in_flight > 0 {
+            let d = self.recv_done()?;
+            self.handle_done(d)?;
+        }
+        Ok(())
+    }
+
+    // -- the event loop (paper §V-E) -----------------------------------------
+
+    /// The one event loop every parallel mode runs: the policy picks what
+    /// to dispatch, completions feed the round's tally, and every completed
+    /// round passes [`RunCtx::end_round`] once. Returns when the run is
+    /// done, cancelled, or quiescent (nothing can contribute any more).
+    fn run_rounds(&mut self, ctx: &mut RunCtx<'_>, mut policy: Policy) -> SqloopResult<()> {
         if self.config.mode == ExecutionMode::AsyncPrio {
             for x in 0..self.parts.len() {
                 self.refresh_priority(x);
             }
         }
-    }
-
-    fn tc_check(&mut self, rounds: u64, changed: u64) -> SqloopResult<bool> {
-        let done = self.probe.satisfied(&mut *self.main, rounds, changed)?;
-        if let Some(r) = self.refresher.as_mut() {
-            r.refresh(&mut *self.main)?;
-        }
-        Ok(done)
-    }
-
-    // -- Sync: two-phase rounds with a barrier (paper §V-E) -----------------
-
-    fn run_sync(&mut self) -> SqloopResult<(u64, u64)> {
-        let mut rounds = self.start_round;
-        loop {
-            self.round = rounds + 1;
-            // phase 1: every partition computes
-            let compute_tasks: Vec<Task> = (0..self.parts.len())
-                .map(|x| self.build_compute(x))
-                .collect();
-            let mut changed = match self.run_phase(compute_tasks.into()) {
-                Ok(c) => c,
-                Err(e) => return Err(self.fail(e, rounds, 0)),
-            };
-            self.trace
-                .event(EventKind::Barrier, None, Some(self.round), "compute phase");
-            // phase 2: every partition with unread messages gathers
-            let mut gather_tasks = VecDeque::new();
-            for x in 0..self.parts.len() {
-                if let Some(t) = self.build_gather(x) {
-                    gather_tasks.push_back(t);
-                }
-            }
-            changed += match self.run_phase(gather_tasks) {
-                Ok(c) => c,
-                Err(e) => return Err(self.fail(e, rounds, changed)),
-            };
-            self.trace
-                .event(EventKind::Barrier, None, Some(self.round), "gather phase");
-            rounds += 1;
-            if self.trace.is_enabled() {
-                self.trace.event(
-                    EventKind::Round,
-                    None,
-                    Some(rounds),
-                    format!("{changed} row(s) changed"),
-                );
-            }
-            self.cache_probe
-                .tick(self.trace, rounds, self.config.mode.label());
-            // a cancelled round ran partially — its (under-counted) change
-            // tally must not drive a termination decision
-            if !self.cancel.cancelled() && self.tc_check(rounds, changed)? {
-                return Ok((rounds, changed));
-            }
-            // the barrier is the Sync scheduler's natural quiesce point
-            if self.check_cancel(rounds, changed)? {
-                return Ok((rounds, changed));
-            }
-            let _ = self.maybe_checkpoint(rounds, changed)?;
-            self.watchdog_check(rounds, changed)?;
-            if rounds >= self.config.max_iterations {
-                return Err(SqloopError::Semantic(format!(
-                    "termination condition not satisfied within {rounds} iterations"
-                )));
-            }
-        }
-    }
-
-    fn run_phase(&mut self, mut queue: VecDeque<Task>) -> SqloopResult<u64> {
-        let mut changed = 0u64;
         let mut first_error: Option<SqloopError> = None;
+        let mut quiescent = false;
         loop {
-            // a cancelled run stops feeding the phase and drains what is
-            // already in flight; check_cancel handles the rest at the
-            // round boundary
-            while self.in_flight < self.config.threads
-                && first_error.is_none()
-                && !self.cancel.cancelled()
-            {
-                match queue.pop_front() {
-                    Some(t) => self.dispatch(t)?,
-                    None => break,
+            if first_error.is_none() && policy.round_complete(self, ctx.rounds, quiescent) {
+                self.round_tasks = 0;
+                let changed = std::mem::take(&mut self.round_changed);
+                match ctx.end_round(self, changed)? {
+                    Verdict::Continue => {}
+                    Verdict::Done => return self.drain(),
+                    Verdict::Cancelled => return Ok(()),
                 }
-            }
-            if self.in_flight == 0
-                && (queue.is_empty() || first_error.is_some() || self.cancel.cancelled())
-            {
-                return match first_error {
-                    Some(e) => Err(e),
-                    None => Ok(changed),
-                };
-            }
-            let d = match self.recv_done() {
-                Ok(d) => d,
-                Err(e) => {
-                    // an unrecoverable pool failure (all workers dead)
-                    // cannot drain in-flight work — surface it now
-                    return Err(first_error.unwrap_or(e));
-                }
-            };
-            match self.handle_done(d) {
-                Ok(n) => changed += n,
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-    }
-
-    // -- Async / AsyncP (paper §V-E) ----------------------------------------
-
-    fn compute_allowed(&self, x: usize) -> bool {
-        match self.tc {
-            Termination::Iterations(n) => self.parts[x].computes < *n,
-            _ => true,
-        }
-    }
-
-    /// Blind round-robin scheduler (`Async`, paper Fig. 3): every round,
-    /// every partition gets a Gather (when unread message tables exist) and
-    /// a Compute — no barrier between rounds, so tasks of round *i+1* start
-    /// while stragglers of round *i* are still running, and Gathers consume
-    /// whatever intermediate results already exist. The speedup over Sync
-    /// comes purely from that freshness; like the paper's Async, it does
-    /// not skip idle partitions — that is AsyncP's job.
-    fn pick_blind(&mut self) -> Option<Task> {
-        let n = self.parts.len();
-        for i in 0..n {
-            let x = (self.rr + i) % n;
-            if self.parts[x].in_flight {
+                self.round = ctx.rounds + 1;
+                quiescent = false;
                 continue;
             }
-            if !self.parts[x].round_gathered {
-                self.parts[x].round_gathered = true;
-                if let Some(t) = self.build_gather(x) {
-                    // stay on x so its Compute follows immediately — the
-                    // G,C pairing of paper Fig. 3 is what lets a message
-                    // produced earlier in this round be consumed (gathered
-                    // *and* applied) later in the same round
-                    self.rr = x;
-                    return Some(t);
-                }
+            if quiescent {
+                return Ok(());
             }
-            if !self.parts[x].round_computed && self.compute_allowed(x) {
-                self.parts[x].round_computed = true;
-                self.rr = (x + 1) % n;
-                return Some(self.build_compute(x));
-            }
-        }
-        None
-    }
-
-    /// True once every partition has used (or been denied) both of its
-    /// slots in the current blind round.
-    fn round_complete(&self) -> bool {
-        self.parts
-            .iter()
-            .enumerate()
-            .all(|(x, p)| p.round_gathered && (p.round_computed || !self.compute_allowed(x)))
-    }
-
-    fn reset_round_flags(&mut self) {
-        for p in &mut self.parts {
-            p.round_gathered = false;
-            p.round_computed = false;
-        }
-    }
-
-    /// Priority scheduler (`AsyncP`, paper §V-E): schedules only partitions
-    /// that can contribute — pending deltas or unread messages — ordered by
-    /// the user's priority function, with strict G→C pairing per partition.
-    fn pick_prio(&mut self) -> Option<Task> {
-        let n = self.parts.len();
-        let desc = self
-            .config
-            .priority
-            .as_ref()
-            .map(|p| p.descending)
-            .unwrap_or(true);
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            let (pa, pb) = (self.parts[a].priority, self.parts[b].priority);
-            if desc {
-                pb.total_cmp(&pa)
-            } else {
-                pa.total_cmp(&pb)
-            }
-        });
-        // pass 1: productive partitions — gather-then-compute pairs, best
-        // priority first (gathering right before the compute batches every
-        // unread table into one statement)
-        for &x in &order {
-            if self.parts[x].in_flight {
-                continue;
-            }
-            let can_compute = self.parts[x].pending && self.compute_allowed(x);
-            if !can_compute {
-                continue;
-            }
-            if self.parts[x].prefer_compute {
-                return Some(self.build_compute(x));
-            }
-            if let Some(t) = self.build_gather(x) {
-                return Some(t);
-            }
-            return Some(self.build_compute(x));
-        }
-        // pass 2: bulk gathers — partitions with enough unread tables to be
-        // worth a statement of their own
-        const GATHER_BATCH: usize = 4;
-        for &x in &order {
-            if self.parts[x].in_flight {
-                continue;
-            }
-            if self.unread_count(x) >= GATHER_BATCH {
-                if let Some(t) = self.build_gather(x) {
-                    return Some(t);
-                }
-            }
-        }
-        // pass 3: nothing productive anywhere — drain stragglers so the
-        // registry empties and termination can be detected
-        if self.in_flight == 0 {
-            for &x in &order {
-                if let Some(t) = self.build_gather(x) {
-                    return Some(t);
-                }
-            }
-        }
-        None
-    }
-
-    /// Live unread message tables targeted at partition `x`.
-    fn unread_count(&self, x: usize) -> usize {
-        let len = self.msgs.len();
-        self.msgs[self.parts[x].cursor..len]
-            .iter()
-            .filter(|m| m.live && m.targets.as_ref().map(|t| t.contains(&x)).unwrap_or(true))
-            .count()
-    }
-
-    fn run_async(&mut self) -> SqloopResult<(u64, u64)> {
-        match self.config.mode {
-            ExecutionMode::AsyncPrio => self.run_async_prio(),
-            _ => self.run_async_blind(),
-        }
-    }
-
-    fn run_async_blind(&mut self) -> SqloopResult<(u64, u64)> {
-        let mut rounds = self.start_round;
-        let mut round_changed = 0u64;
-        let mut first_error: Option<SqloopError> = None;
-        loop {
-            while first_error.is_none()
-                && !self.cancel.cancelled()
-                && self.in_flight < self.config.threads
-            {
-                if let Some(t) = self.pick_blind() {
-                    self.dispatch(t)?;
-                    continue;
-                }
-                if !self.round_complete() {
-                    break; // remaining slots belong to busy partitions
-                }
-                // round boundary: decisions need the round's full effect,
-                // so wait for in-flight tasks (a soft join, much weaker
-                // than Sync's two barriers per round — within the round
-                // gathers freely consumed same-round messages)
-                if self.in_flight > 0 {
-                    break;
-                }
-                rounds += 1;
-                if self.trace.is_enabled() {
-                    self.trace.event(
-                        EventKind::Round,
-                        None,
-                        Some(rounds),
-                        format!("{round_changed} row(s) changed"),
-                    );
-                }
-                self.cache_probe
-                    .tick(self.trace, rounds, self.config.mode.label());
-                self.round = rounds + 1;
-                let done = match self.tc {
-                    // capped partitions can hold pending deltas forever, so
-                    // Iterations completes once caps are hit and messages
-                    // are drained
-                    Termination::Iterations(n) => {
-                        let all_capped = self.parts.iter().all(|p| p.computes >= *n);
-                        all_capped && !self.any_unread_messages()
-                    }
-                    Termination::Updates(n) => round_changed <= *n,
-                    Termination::Data { .. } | Termination::Delta { .. } => {
-                        self.tc_check(rounds, round_changed)?
-                    }
-                };
-                if done {
-                    self.drain()?;
-                    return Ok((self.report_rounds(rounds), round_changed));
-                }
-                // the round boundary (nothing in flight) is Async's
-                // quiesce point for cancellation and checkpoints
-                if self.check_cancel(rounds, round_changed)? {
-                    return Ok((self.report_rounds(rounds), round_changed));
-                }
-                let carried = self.maybe_checkpoint(rounds, round_changed)?;
-                self.watchdog_check(rounds, round_changed)?;
-                if rounds >= self.config.max_iterations {
-                    self.drain()?;
-                    return Err(SqloopError::Semantic(format!(
-                        "termination condition not satisfied within {rounds} rounds"
-                    )));
-                }
-                round_changed = carried;
-                self.reset_round_flags();
-            }
-            if self.in_flight == 0 {
-                if let Some(e) = first_error {
-                    return Err(self.fail(e, rounds, round_changed));
-                }
-                if self.cancel.cancelled() {
-                    // mid-round cancellation: dispatching stopped above and
-                    // the pipeline is dry — quiesce, checkpoint, return the
-                    // partial state
-                    self.check_cancel(rounds, round_changed)?;
-                    return Ok((self.report_rounds(rounds), round_changed));
-                }
-                if !self.round_complete() {
-                    continue; // new round was just opened; dispatch again
-                }
-                // quiescent with an Iterations cap: everything drained
-                rounds += 1;
-                return Ok((self.report_rounds(rounds), round_changed));
-            }
-            let d = match self.recv_done() {
-                Ok(d) => d,
-                Err(e) => return Err(self.fail(first_error.unwrap_or(e), rounds, round_changed)),
-            };
-            match self.handle_done(d) {
-                Ok(c) => round_changed += c,
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_async_prio(&mut self) -> SqloopResult<(u64, u64)> {
-        self.init_priorities();
-        let tasks_per_round = (2 * self.parts.len()).max(1);
-        let mut rounds = self.start_round;
-        let mut wave_changed = 0u64;
-        let mut wave_tasks = 0usize;
-        let mut first_error: Option<SqloopError> = None;
-        loop {
-            if first_error.is_none() && !self.cancel.cancelled() {
+            // a failing or cancelled run stops feeding the pipeline and
+            // drains what is already in flight
+            if first_error.is_none() && !self.config.cancel.cancelled() {
                 while self.in_flight < self.config.threads {
-                    match self.pick_prio() {
+                    match policy.pick(self) {
                         Some(t) => self.dispatch(t)?,
                         None => break,
                     }
@@ -1844,131 +1259,286 @@ impl Scheduler<'_> {
             }
             if self.in_flight == 0 {
                 if let Some(e) = first_error {
-                    return Err(self.fail(e, rounds, wave_changed));
+                    return Err(e);
                 }
-                if self.cancel.cancelled() {
-                    // mid-wave cancellation: dispatching stopped above and
-                    // the pipeline is dry — quiesce, checkpoint, return the
-                    // partial state
-                    self.check_cancel(rounds, wave_changed)?;
-                    return Ok((self.report_rounds(rounds), wave_changed));
+                if self.config.cancel.cancelled() {
+                    // mid-round cancellation: the pipeline is dry —
+                    // quiesce, checkpoint, return the partial state
+                    return ctx.stop_cancelled(self);
                 }
-                // quiescent: nothing can contribute any more
-                rounds += 1;
-                return Ok((self.report_rounds(rounds), wave_changed));
+                quiescent = true;
+                continue;
             }
             let d = match self.recv_done() {
                 Ok(d) => d,
-                Err(e) => return Err(self.fail(first_error.unwrap_or(e), rounds, wave_changed)),
+                // an unrecoverable pool failure (all workers dead) cannot
+                // drain in-flight work — surface it now
+                Err(e) => return Err(first_error.unwrap_or(e)),
             };
             match self.handle_done(d) {
-                Ok(c) => wave_changed += c,
+                Ok(()) => self.round_tasks += 1,
                 Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                    continue;
+                    first_error.get_or_insert(e);
                 }
             }
-            wave_tasks += 1;
-            if wave_tasks >= tasks_per_round {
-                rounds += 1;
-                wave_tasks = 0;
-                if self.trace.is_enabled() {
-                    self.trace.event(
-                        EventKind::Round,
-                        None,
-                        Some(rounds),
-                        format!("{wave_changed} row(s) changed"),
-                    );
+        }
+    }
+}
+
+/// Sync's phase within a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Idle,
+    Compute,
+    Gather,
+}
+
+/// Which task runs next: the three schedulers of paper §V-E as policies
+/// over the one event loop ([`Scheduler::run_rounds`]). A policy picks the
+/// next task and says when a round is complete.
+enum Policy {
+    /// `Sync`: two phases per round, each ending in a barrier — every
+    /// partition computes, then every partition with unread messages
+    /// gathers.
+    Sync { phase: Phase, queue: VecDeque<Task> },
+    /// `Async` (paper Fig. 3): blind round-robin. Every round, every
+    /// partition gets a Gather (when unread message tables exist) and a
+    /// Compute — no barrier inside the round, so Gathers consume whatever
+    /// intermediate results already exist. The speedup over Sync comes
+    /// purely from that freshness; like the paper's Async, it does not skip
+    /// idle partitions — that is AsyncP's job.
+    Blind {
+        rr: usize,
+        gathered: Vec<bool>,
+        computed: Vec<bool>,
+    },
+    /// `AsyncP`: schedules only partitions that can contribute — pending
+    /// deltas or unread messages — ordered by the user's priority
+    /// function, with strict G→C pairing per partition. A round is a wave
+    /// of `wave` completed tasks.
+    Prio { wave: usize },
+}
+
+impl Policy {
+    fn new(mode: ExecutionMode, partitions: usize) -> Policy {
+        match mode {
+            ExecutionMode::Sync => Policy::Sync {
+                phase: Phase::Idle,
+                queue: VecDeque::new(),
+            },
+            ExecutionMode::AsyncPrio => Policy::Prio {
+                wave: (2 * partitions).max(1),
+            },
+            _ => Policy::Blind {
+                rr: 0,
+                gathered: vec![false; partitions],
+                computed: vec![false; partitions],
+            },
+        }
+    }
+
+    fn pick(&mut self, s: &mut Scheduler<'_>) -> Option<Task> {
+        match self {
+            Policy::Sync { phase, queue } => {
+                // a phase's tasks are built when it opens, and it opens
+                // only once the previous phase has drained (the barrier)
+                if queue.is_empty() && s.in_flight == 0 {
+                    match phase {
+                        Phase::Idle => {
+                            *phase = Phase::Compute;
+                            *queue = (0..s.parts.len()).map(|x| s.build_compute(x)).collect();
+                        }
+                        Phase::Compute => {
+                            s.trace
+                                .event(EventKind::Barrier, None, Some(s.round), "compute phase");
+                            *phase = Phase::Gather;
+                            *queue = (0..s.parts.len())
+                                .filter_map(|x| s.build_gather(x))
+                                .collect();
+                        }
+                        Phase::Gather => {}
+                    }
                 }
-                self.cache_probe
-                    .tick(self.trace, rounds, self.config.mode.label());
-                self.round = rounds + 1;
-                // virtual-iteration boundary: evaluate data/delta conditions
-                match self.tc {
-                    Termination::Data { .. } | Termination::Delta { .. } => {
-                        if self.tc_check(rounds, wave_changed)? {
-                            self.drain()?;
-                            return Ok((self.report_rounds(rounds), wave_changed));
+                queue.pop_front()
+            }
+            Policy::Blind {
+                rr,
+                gathered,
+                computed,
+            } => {
+                let n = s.parts.len();
+                for i in 0..n {
+                    let x = (*rr + i) % n;
+                    if s.parts[x].in_flight {
+                        continue;
+                    }
+                    if !gathered[x] {
+                        gathered[x] = true;
+                        if let Some(t) = s.build_gather(x) {
+                            // stay on x so its Compute follows immediately —
+                            // the G,C pairing of paper Fig. 3 is what lets a
+                            // message produced earlier in this round be
+                            // consumed (gathered *and* applied) later in the
+                            // same round
+                            *rr = x;
+                            return Some(t);
                         }
                     }
-                    Termination::Updates(n) => {
-                        if wave_changed <= *n && !self.any_work_left() {
-                            self.drain()?;
-                            return Ok((self.report_rounds(rounds), wave_changed));
+                    if !computed[x] && s.compute_allowed(x) {
+                        computed[x] = true;
+                        *rr = (x + 1) % n;
+                        return Some(s.build_compute(x));
+                    }
+                }
+                None
+            }
+            Policy::Prio { .. } => {
+                let n = s.parts.len();
+                let desc = s
+                    .config
+                    .priority
+                    .as_ref()
+                    .map(|p| p.descending)
+                    .unwrap_or(true);
+                let mut order: Vec<usize> = (0..n).collect();
+                order.sort_by(|&a, &b| {
+                    let (pa, pb) = (s.parts[a].priority, s.parts[b].priority);
+                    if desc {
+                        pb.total_cmp(&pa)
+                    } else {
+                        pa.total_cmp(&pb)
+                    }
+                });
+                // pass 1: productive partitions — gather-then-compute pairs, best
+                // priority first (gathering right before the compute batches every
+                // unread table into one statement)
+                for &x in &order {
+                    if s.parts[x].in_flight {
+                        continue;
+                    }
+                    let can_compute = s.parts[x].saved.pending && s.compute_allowed(x);
+                    if !can_compute {
+                        continue;
+                    }
+                    if s.parts[x].saved.prefer_compute {
+                        return Some(s.build_compute(x));
+                    }
+                    if let Some(t) = s.build_gather(x) {
+                        return Some(t);
+                    }
+                    return Some(s.build_compute(x));
+                }
+                // pass 2: bulk gathers — partitions with enough unread tables to be
+                // worth a statement of their own
+                const GATHER_BATCH: usize = 4;
+                for &x in &order {
+                    if s.parts[x].in_flight {
+                        continue;
+                    }
+                    if s.unread(x).count() >= GATHER_BATCH {
+                        if let Some(t) = s.build_gather(x) {
+                            return Some(t);
                         }
                     }
-                    Termination::Iterations(_) => {}
                 }
-                // the wave boundary is AsyncP's quiesce point for
-                // cancellation and checkpoints
-                if self.check_cancel(rounds, wave_changed)? {
-                    return Ok((self.report_rounds(rounds), wave_changed));
+                // pass 3: nothing productive anywhere — drain stragglers so the
+                // registry empties and termination can be detected
+                if s.in_flight == 0 {
+                    for &x in &order {
+                        if let Some(t) = s.build_gather(x) {
+                            return Some(t);
+                        }
+                    }
                 }
-                let carried = self.maybe_checkpoint(rounds, wave_changed)?;
-                self.watchdog_check(rounds, wave_changed)?;
-                if rounds >= self.config.max_iterations {
-                    self.drain()?;
-                    return Err(SqloopError::Semantic(format!(
-                        "termination condition not satisfied within {rounds} rounds"
-                    )));
-                }
-                wave_changed = carried;
+                None
             }
         }
     }
 
-    /// True when any live message table is unread by one of its targets.
-    fn any_unread_messages(&self) -> bool {
-        let len = self.msgs.len();
-        self.parts.iter().enumerate().any(|(x, p)| {
-            self.msgs[p.cursor..len]
-                .iter()
-                .any(|m| m.live && m.targets.as_ref().map(|t| t.contains(&x)).unwrap_or(true))
-        })
+    /// True once the current round is complete; the policy then opens the
+    /// next one. `quiescent`: nothing is in flight and nothing could be
+    /// dispatched.
+    fn round_complete(&mut self, s: &Scheduler<'_>, rounds: u64, quiescent: bool) -> bool {
+        match self {
+            Policy::Sync { phase, queue } => {
+                if *phase != Phase::Gather || !queue.is_empty() || s.in_flight > 0 {
+                    return false;
+                }
+                s.trace
+                    .event(EventKind::Barrier, None, Some(s.round), "gather phase");
+                *phase = Phase::Idle;
+                true
+            }
+            Policy::Blind {
+                gathered, computed, ..
+            } => {
+                // every partition has used (or been denied) both its slots,
+                // and the round's stragglers are in: decisions need the
+                // round's full effect (a soft join, much weaker than Sync's
+                // two barriers per round)
+                let complete = s.in_flight == 0
+                    && (0..s.parts.len())
+                        .all(|x| gathered[x] && (computed[x] || !s.compute_allowed(x)));
+                if complete {
+                    gathered.fill(false);
+                    computed.fill(false);
+                }
+                complete
+            }
+            Policy::Prio { wave } => match s.tc {
+                // under per-partition caps a round is a Compute level: round
+                // r ends when the first partition runs its r-th Compute —
+                // the last one, once the others have run dry too — so
+                // `UNTIL n ITERATIONS` counts n rounds
+                Termination::Iterations(n) => {
+                    let top = s.parts.iter().map(|p| p.saved.computes).max();
+                    top.is_some_and(|top| top > rounds && (top < *n || quiescent))
+                }
+                // a wave of completed tasks; the partial wave a run ends on
+                // counts too
+                _ => s.round_tasks >= *wave || (quiescent && s.round_tasks > 0),
+            },
+        }
+    }
+}
+
+impl LoopState for Scheduler<'_> {
+    fn conn(&mut self) -> &mut dyn Connection {
+        &mut *self.main
     }
 
-    fn any_work_left(&self) -> bool {
-        let len = self.msgs.len();
-        self.parts.iter().enumerate().any(|(x, p)| {
-            p.in_flight
-                || p.pending
-                || self.msgs[p.cursor..len]
-                    .iter()
-                    .any(|m| m.live && m.targets.as_ref().map(|t| t.contains(&x)).unwrap_or(true))
-        })
-    }
-
-    /// Reported iteration count: per-partition compute rounds when the
-    /// condition is `ITERATIONS n`, otherwise scheduler waves.
-    fn report_rounds(&self, waves: u64) -> u64 {
+    fn terminated(&mut self) -> SqloopResult<Option<bool>> {
+        let asyncp = self.config.mode == ExecutionMode::AsyncPrio;
+        // AsyncP skips partitions without work: once none has any, nothing
+        // can change any more, whatever the condition reads
+        if asyncp && !self.any_work_left() {
+            return Ok(Some(true));
+        }
         match self.tc {
-            Termination::Iterations(_) => self.parts.iter().map(|p| p.computes).max().unwrap_or(0),
-            _ => waves,
+            // per-partition Compute caps (a capped partition can hold a
+            // pending delta forever): the run ends once every partition has
+            // its n Computes, after the last round's unread messages are
+            // applied
+            Termination::Iterations(n) => {
+                let capped = self.parts.iter().all(|p| p.saved.computes >= *n);
+                if capped {
+                    self.quiesce()?;
+                }
+                Ok(Some(capped))
+            }
+            // a wave's tally is not a round's: AsyncP ends when no
+            // partition has work left (above)
+            Termination::Updates(_) if asyncp => Ok(Some(false)),
+            _ => Ok(None),
         }
     }
-
-    /// Waits for all in-flight tasks after a termination decision; returns
-    /// the rows they changed.
-    fn drain(&mut self) -> SqloopResult<u64> {
-        let mut changed = 0u64;
-        while self.in_flight > 0 {
-            let d = self.recv_done()?;
-            changed += self.handle_done(d)?;
-        }
-        Ok(changed)
-    }
-
-    // -- checkpoint / cancellation (DESIGN.md §11) --------------------------
 
     /// Brings the loop to a quiesce point: waits out in-flight tasks, then
     /// force-gathers every unread message table until the registry is empty
-    /// — after which the partition tables alone are the loop state. Returns
-    /// the rows changed by the forced gathers (they belong to the next
-    /// round's tally, not the completed one).
-    fn quiesce(&mut self) -> SqloopResult<u64> {
-        let mut changed = self.drain()?;
+    /// — after which the partition tables alone are the loop state. The
+    /// rows the forced gathers change count toward the next round's tally.
+    fn quiesce(&mut self) -> SqloopResult<()> {
+        self.drain()?;
         loop {
             let mut dispatched = false;
             for x in 0..self.parts.len() {
@@ -1980,200 +1550,51 @@ impl Scheduler<'_> {
             if !dispatched {
                 break;
             }
-            changed += self.drain()?;
+            self.drain()?;
         }
         self.gc_messages();
-        Ok(changed)
+        Ok(())
     }
 
     /// Dumps the quiesced loop state. Callers must hold the quiesce
     /// invariant (no in-flight task, no live message table).
-    fn parallel_snapshot(&mut self, rounds: u64, last_change: u64) -> SqloopResult<LoopSnapshot> {
-        let names = self.gen.names().clone();
+    fn snapshot(&mut self) -> SqloopResult<(Vec<PartSnap>, Vec<TableDump>)> {
+        let (names, visible) = (self.gen.names(), self.gen.schema().typed_columns());
+        // partition tables carry the hidden bookkeeping columns too
+        let hidden = self.gen.hidden_columns().into_iter();
+        let all: Vec<_> = (visible.iter().cloned())
+            .chain(hidden.map(|c| (c.to_string(), DataType::Float)))
+            .collect();
         let mut tables = Vec::with_capacity(self.parts.len() + 1);
         for x in 0..self.parts.len() {
             tables.push(dump_table_sql(
                 self.main,
                 &names.partition(x),
-                &self.part_cols,
+                &all,
                 Some(0),
             )?);
         }
-        if self.needs_delta {
-            let visible: Vec<(String, DataType)> = self
-                .part_cols
-                .iter()
-                .filter(|(n, _)| !n.starts_with("__"))
-                .cloned()
-                .collect();
-            tables.push(dump_table_sql(
+        if self.tc.needs_delta_snapshot() {
+            let delta = names.delta_snapshot();
+            tables.push(dump_table_sql(self.main, &delta, &visible, None)?);
+        }
+        Ok((self.parts.iter().map(|p| p.saved).collect(), tables))
+    }
+
+    /// One probe per partition table, so a verdict names the diverging
+    /// partition.
+    fn probe_numeric(&mut self, w: &Watchdog, round: u64) -> SqloopResult<()> {
+        let schema = self.gen.schema();
+        for x in 0..self.parts.len() {
+            w.probe_table(
                 self.main,
-                &names.delta_snapshot(),
-                &visible,
-                None,
-            )?);
-        }
-        Ok(LoopSnapshot {
-            fingerprint: self.fingerprint,
-            mode: self.config.mode.label().into(),
-            round: rounds,
-            last_change,
-            parts: self
-                .parts
-                .iter()
-                .map(|p| PartSnap {
-                    computes: p.computes,
-                    msg_seq: p.msg_seq,
-                    pending: p.pending,
-                    prefer_compute: p.prefer_compute,
-                })
-                .collect(),
-            seeds: (0..self.config.threads as u64).map(|i| i + 1).collect(),
-            tables,
-        })
-    }
-
-    /// Writes a checkpoint when one is due at `rounds` completed rounds;
-    /// returns the rows changed while quiescing (carry them into the next
-    /// round's tally).
-    fn maybe_checkpoint(&mut self, rounds: u64, last_change: u64) -> SqloopResult<u64> {
-        let due = self
-            .checkpointer
-            .as_ref()
-            .map(|c| c.due(rounds))
-            .unwrap_or(false);
-        if !due {
-            return Ok(0);
-        }
-        let carried = self.quiesce()?;
-        let snap = self.parallel_snapshot(rounds, last_change)?;
-        if let Some(ck) = self.checkpointer.as_mut() {
-            let path = ck.save(&snap)?;
-            trace_checkpoint(self.trace, rounds, &path);
-        }
-        Ok(carried)
-    }
-
-    // -- resource governance (DESIGN.md §12) --------------------------------
-
-    /// Feeds the watchdog one completed round: round budget, delta trend,
-    /// and — when numeric checks are on — a NaN/±∞ probe of every
-    /// partition table so a verdict names the diverging partition. A
-    /// verdict aborts governed (quiesce + final checkpoint) and surfaces
-    /// as the typed error.
-    ///
-    /// # Errors
-    /// The watchdog verdict, probe-query engine errors, or
-    /// checkpoint-write errors from the governed abort.
-    fn watchdog_check(&mut self, rounds: u64, changed: u64) -> SqloopResult<()> {
-        let Some(mut w) = self.governance.watchdog.take() else {
-            return Ok(());
-        };
-        let mut result = w.check_round(rounds, changed);
-        if result.is_ok() && w.numeric_checks() {
-            let schema = self.gen.schema().clone();
-            let names = self.gen.names().clone();
-            for x in 0..self.parts.len() {
-                result = w.probe_table(
-                    self.main,
-                    &names.partition(x),
-                    &schema.columns,
-                    &schema.types,
-                    Some(x),
-                    rounds,
-                );
-                if result.is_err() {
-                    break;
-                }
-            }
-        }
-        self.governance.watchdog = Some(w);
-        if let Err(verdict) = result {
-            self.governed_abort(rounds, changed, &verdict)?;
-            return Err(verdict);
+                &self.gen.names().partition(x),
+                &schema.columns,
+                &schema.types,
+                Some(x),
+                round,
+            )?;
         }
         Ok(())
-    }
-
-    /// Routes a scheduler-fatal error: a task failure rooted in the
-    /// engine's memory budget aborts governed and becomes the typed
-    /// [`SqloopError::BudgetExceeded`]; anything else passes through.
-    fn fail(&mut self, e: SqloopError, rounds: u64, last_change: u64) -> SqloopError {
-        if let Some(m) = root_budget_exceeded(&e) {
-            let verdict = SqloopError::BudgetExceeded {
-                what: format!("memory ({m})"),
-                round: rounds,
-            };
-            if self.governed_abort(rounds, last_change, &verdict).is_ok() {
-                return verdict;
-            }
-        }
-        e
-    }
-
-    /// Lifts the engine memory limit (budget-exhausted state could not even
-    /// quiesce otherwise), quiesces, and writes a final checkpoint so the
-    /// governed abort is resumable under a larger budget.
-    fn governed_abort(
-        &mut self,
-        rounds: u64,
-        last_change: u64,
-        verdict: &SqloopError,
-    ) -> SqloopResult<()> {
-        self.governance.lift_memory_limit();
-        self.trace.event(
-            EventKind::Watchdog,
-            None,
-            Some(rounds),
-            format!("governed abort: {verdict}"),
-        );
-        obs::global().counter("sqloop.governed_aborts").inc();
-        self.quiesce()?;
-        if self.checkpointer.is_some() {
-            let snap = self.parallel_snapshot(rounds, last_change)?;
-            if let Some(ck) = self.checkpointer.as_mut() {
-                let path = ck.save(&snap)?;
-                trace_checkpoint(self.trace, rounds, &path);
-            }
-        }
-        Ok(())
-    }
-
-    /// When the token is cancelled: quiesces, writes a final checkpoint
-    /// (when checkpointing is on), marks the run cancelled, and returns
-    /// `true` — the scheduler then returns its partial state as a normal
-    /// result.
-    fn check_cancel(&mut self, rounds: u64, last_change: u64) -> SqloopResult<bool> {
-        if !self.cancel.cancelled() {
-            return Ok(false);
-        }
-        self.trace.event(
-            EventKind::Cancel,
-            None,
-            Some(rounds),
-            "cancelled at quiesce point",
-        );
-        obs::global().counter("sqloop.cancelled_runs").inc();
-        self.quiesce()?;
-        if self.checkpointer.is_some() {
-            let snap = self.parallel_snapshot(rounds, last_change)?;
-            if let Some(ck) = self.checkpointer.as_mut() {
-                let path = ck.save(&snap)?;
-                trace_checkpoint(self.trace, rounds, &path);
-            }
-        }
-        self.cancelled = true;
-        Ok(true)
-    }
-}
-
-/// Walks a (possibly [`SqloopError::Task`]-wrapped) error chain looking for
-/// the engine's memory-budget refusal; returns its message when found so the
-/// scheduler can convert the failure into a governed abort.
-fn root_budget_exceeded(e: &SqloopError) -> Option<String> {
-    match e {
-        SqloopError::Db(DbError::BudgetExceeded(m)) => Some(m.clone()),
-        SqloopError::Task { source, .. } => root_budget_exceeded(source),
-        _ => None,
     }
 }

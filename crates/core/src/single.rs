@@ -4,36 +4,20 @@
 //! These are both the fallback for queries outside the parallelizable class
 //! and the semantic reference the parallel schedulers are tested against.
 
-use crate::checkpoint::{
-    check_fingerprint, dump_table_sql, restore_table_sql, run_fingerprint, trace_checkpoint,
-    Checkpointer, LoopSnapshot,
-};
+use crate::checkpoint::{dump_table_sql, restore_table_sql, PartSnap};
 use crate::common::{
     create_cte_table, refresh_delta_snapshot, rewrite_table_refs, run, run_query, CteNames,
-    CteSchema, DeltaRefresher, PlanCacheProbe, TerminationProbe,
+    CteSchema,
 };
 use crate::error::{SqloopError, SqloopResult};
 use crate::grammar::{IterativeCte, RecursiveCte};
+use crate::run::{LoopState, RunCtx, RunOutcome, Verdict};
 use crate::supervisor::panic_detail;
 use crate::translate::{translate_query_to_sql, translate_sql};
-use crate::watchdog::Governance;
-use dbcp::{CancelToken, Connection, PreparedStatement};
-use obs::{EventKind, Span, SpanKind, SpanOutcome, TraceHandle};
-use sqldb::{DataType, DbError, QueryResult, Value};
-
-/// What an executed CTE run reports back.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunOutcome {
-    /// Result of the final query `Qf`.
-    pub result: QueryResult,
-    /// Iterations (recursions) performed.
-    pub iterations: u64,
-    /// Rows updated/appended by the last iteration.
-    pub last_change: u64,
-    /// The run was stopped cooperatively before its termination condition;
-    /// `result` holds the final query over the partial fix-point.
-    pub cancelled: bool,
-}
+use crate::watchdog::Watchdog;
+use dbcp::{Connection, PreparedStatement};
+use obs::{EventKind, Span, SpanKind, SpanOutcome};
+use sqldb::{QueryResult, TableDump, Value};
 
 /// Runs a recursive CTE with semi-naive evaluation (paper §II-A):
 /// each recursion sees only the previous recursion's output rows, and
@@ -49,18 +33,23 @@ pub fn run_recursive(
     keep_artifacts: bool,
 ) -> SqloopResult<RunOutcome> {
     let names = CteNames::new(&cte.name);
-    // run the loop body, then clean up scratch tables on success *and*
-    // error paths alike (the original error wins over a cleanup error)
-    match recursive_loop(conn, cte, max_iterations, &names) {
-        Ok(out) => {
-            cleanup(conn, &names, keep_artifacts)?;
-            Ok(out)
-        }
-        Err(e) => {
-            let _ = cleanup(conn, &names, keep_artifacts);
-            Err(e)
-        }
-    }
+    cleaned_up(conn, &names, keep_artifacts, |conn| {
+        recursive_loop(conn, cte, max_iterations, &names)
+    })
+}
+
+/// Runs `body`, then drops the scratch tables on success *and* error paths
+/// alike (the original error wins over a cleanup error).
+fn cleaned_up<T>(
+    conn: &mut dyn Connection,
+    names: &CteNames,
+    keep: bool,
+    body: impl FnOnce(&mut dyn Connection) -> SqloopResult<T>,
+) -> SqloopResult<T> {
+    let out = body(&mut *conn);
+    let cleaned = cleanup(conn, names, keep);
+    let out = out?;
+    cleaned.map(|()| out)
 }
 
 fn recursive_loop(
@@ -171,230 +160,134 @@ fn recursive_loop(
         result,
         iterations,
         last_change,
-        cancelled: false,
+        ..RunOutcome::default()
     })
+}
+
+/// The single-threaded loop's state: the CTE table `R` on the master
+/// connection, plus the delta snapshot when the termination condition reads
+/// one.
+struct SingleState<'c> {
+    conn: &'c mut dyn Connection,
+    cte: &'c IterativeCte,
+    names: &'c CteNames,
+    schema: CteSchema,
+}
+
+impl LoopState for SingleState<'_> {
+    fn conn(&mut self) -> &mut dyn Connection {
+        &mut *self.conn
+    }
+
+    fn terminated(&mut self) -> SqloopResult<Option<bool>> {
+        Ok(None)
+    }
+
+    /// Between rounds the tables already are the whole loop state.
+    fn quiesce(&mut self) -> SqloopResult<()> {
+        Ok(())
+    }
+
+    fn snapshot(&mut self) -> SqloopResult<(Vec<PartSnap>, Vec<TableDump>)> {
+        let cols = self.schema.typed_columns();
+        let mut tables = vec![dump_table_sql(self.conn, &self.cte.name, &cols, Some(0))?];
+        if self.cte.termination.needs_delta_snapshot() {
+            tables.push(dump_table_sql(
+                self.conn,
+                &self.names.delta_snapshot(),
+                &cols,
+                None,
+            )?);
+        }
+        Ok((Vec::new(), tables))
+    }
+
+    fn probe_numeric(&mut self, w: &Watchdog, round: u64) -> SqloopResult<()> {
+        w.probe_table(
+            self.conn,
+            &self.cte.name,
+            &self.schema.columns,
+            &self.schema.types,
+            None,
+            round,
+        )
+    }
 }
 
 /// Runs an iterative CTE with the single-threaded algorithm (paper §III-A):
 /// per iteration, materialize `Ri` into `Rtmp`, then update `R` matching on
-/// the key column, until the termination condition holds.
-///
-/// # Errors
-/// Engine errors, or [`SqloopError::Semantic`] when `max_iterations` is hit.
-pub fn run_iterative_single(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    max_iterations: u64,
-    keep_artifacts: bool,
-) -> SqloopResult<RunOutcome> {
-    run_iterative_single_observed(
-        conn,
-        cte,
-        max_iterations,
-        keep_artifacts,
-        &TraceHandle::disabled(),
-    )
-}
-
-/// Like [`run_iterative_single`], recording one [`SpanKind::Iteration`] span
-/// per loop iteration (with the updated-row count) into `trace`.
-///
-/// # Errors
-/// Engine errors, or [`SqloopError::Semantic`] when `max_iterations` is hit.
-pub fn run_iterative_single_observed(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    max_iterations: u64,
-    keep_artifacts: bool,
-    trace: &TraceHandle,
-) -> SqloopResult<RunOutcome> {
-    run_iterative_single_durable(
-        conn,
-        cte,
-        max_iterations,
-        keep_artifacts,
-        trace,
-        &CancelToken::new(),
-        None,
-        None,
-    )
-}
-
-/// [`run_iterative_single_observed`] with durability controls: cooperative
-/// cancellation via `cancel` (checked at every iteration boundary — a
-/// cancelled run still answers `Qf` over the partial fix-point and reports
-/// `cancelled = true`), periodic checkpoints through `checkpointer`, and
-/// `resume` to continue from a [`LoopSnapshot`] instead of running the seed
-/// query (the snapshot's fingerprint must match this query).
-///
-/// # Errors
-/// Engine errors, [`SqloopError::Semantic`] when `max_iterations` is hit, or
-/// [`SqloopError::Checkpoint`] for snapshot/fingerprint problems. Scratch
-/// tables are dropped on every path unless `keep_artifacts`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_iterative_single_durable(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    max_iterations: u64,
-    keep_artifacts: bool,
-    trace: &TraceHandle,
-    cancel: &CancelToken,
-    checkpointer: Option<&mut Checkpointer>,
-    resume: Option<&LoopSnapshot>,
-) -> SqloopResult<RunOutcome> {
-    run_iterative_single_governed(
-        conn,
-        cte,
-        max_iterations,
-        keep_artifacts,
-        trace,
-        cancel,
-        checkpointer,
-        resume,
-        &mut Governance::none(),
-        PlanCacheProbe::default(),
-    )
-}
-
-/// [`run_iterative_single_durable`] under resource governance: watchdog
-/// verdicts (round budget, numeric divergence, flat delta trend) and engine
-/// memory-budget trips abort the run *governed* — the engine limit is
-/// lifted, a final checkpoint is written (when checkpointing is on), and a
-/// typed [`SqloopError::BudgetExceeded`]/[`SqloopError::NumericDivergence`]
-/// is returned so the run can resume under a larger budget. `cache_probe`
-/// reports the engine's per-round plan-cache deltas into `trace` (the
-/// default probe, for callers without a driver, reports nothing).
-///
-/// # Errors
-/// As [`run_iterative_single_durable`], plus the governance verdicts above.
-#[allow(clippy::too_many_arguments)]
-pub fn run_iterative_single_governed(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    max_iterations: u64,
-    keep_artifacts: bool,
-    trace: &TraceHandle,
-    cancel: &CancelToken,
-    checkpointer: Option<&mut Checkpointer>,
-    resume: Option<&LoopSnapshot>,
-    governance: &mut Governance<'_>,
-    cache_probe: PlanCacheProbe,
-) -> SqloopResult<RunOutcome> {
-    let names = CteNames::new(&cte.name);
-    match iterative_loop(
-        conn,
-        cte,
-        max_iterations,
-        &names,
-        trace,
-        cancel,
-        checkpointer,
-        resume,
-        governance,
-        cache_probe,
-    ) {
-        Ok(out) => {
-            cleanup(conn, &names, keep_artifacts)?;
-            Ok(out)
-        }
-        Err(e) => {
-            let _ = cleanup(conn, &names, keep_artifacts);
-            Err(e)
-        }
-    }
-}
-
-/// The single-threaded loop's state tables, dumped for a checkpoint: the
-/// CTE table `R`, plus the delta snapshot when the termination condition
-/// reads one.
-fn single_snapshot(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    names: &CteNames,
-    schema: &CteSchema,
-    iterations: u64,
-    last_updates: u64,
-) -> SqloopResult<LoopSnapshot> {
-    let cols: Vec<(String, DataType)> = schema
-        .columns
-        .iter()
-        .cloned()
-        .zip(schema.types.iter().copied())
-        .collect();
-    let mut tables = vec![dump_table_sql(conn, &cte.name, &cols, Some(0))?];
-    if cte.termination.needs_delta_snapshot() {
-        tables.push(dump_table_sql(conn, &names.delta_snapshot(), &cols, None)?);
-    }
-    Ok(LoopSnapshot {
-        fingerprint: run_fingerprint(cte, "Single", 1),
-        mode: "Single".into(),
-        round: iterations,
-        last_change: last_updates,
-        parts: Vec::new(),
-        seeds: Vec::new(),
-        tables,
+/// the key column, until the termination condition holds. Scratch tables
+/// are dropped on every path unless `keep_artifacts`.
+pub(crate) fn run_single(ctx: &mut RunCtx<'_>) -> SqloopResult<RunOutcome> {
+    let mut conn = ctx.connect()?;
+    let names = CteNames::new(&ctx.cte.name);
+    let keep = ctx.config.keep_artifacts;
+    let result = cleaned_up(conn.as_mut(), &names, keep, |conn| {
+        iterative_loop(conn, ctx, &names)
+    })?;
+    Ok(RunOutcome {
+        result,
+        ..RunOutcome::default()
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn iterative_loop(
     conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    max_iterations: u64,
+    ctx: &mut RunCtx<'_>,
     names: &CteNames,
-    trace: &TraceHandle,
-    cancel: &CancelToken,
-    mut checkpointer: Option<&mut Checkpointer>,
-    resume: Option<&LoopSnapshot>,
-    governance: &mut Governance<'_>,
-    mut cache_probe: PlanCacheProbe,
-) -> SqloopResult<RunOutcome> {
-    let schema;
-    let mut iterations;
-    let mut last_updates;
-    if let Some(snap) = resume {
-        check_fingerprint(snap, run_fingerprint(cte, "Single", 1), "Single")?;
-        let main = snap
-            .tables
-            .iter()
-            .find(|t| t.name == cte.name)
-            .ok_or_else(|| {
-                SqloopError::Checkpoint(format!("snapshot holds no table named {}", cte.name))
-            })?;
-        schema = CteSchema {
-            columns: main.columns.iter().map(|c| c.name.clone()).collect(),
-            types: main.columns.iter().map(|c| c.data_type).collect(),
-        };
-        for t in &snap.tables {
-            restore_table_sql(conn, t, 512)?;
+) -> SqloopResult<QueryResult> {
+    let cte = ctx.cte;
+    let schema = match &ctx.resume {
+        Some(snap) => {
+            let main = snap
+                .tables
+                .iter()
+                .find(|t| t.name == cte.name)
+                .ok_or_else(|| {
+                    SqloopError::Checkpoint(format!("snapshot holds no table named {}", cte.name))
+                })?;
+            for t in &snap.tables {
+                restore_table_sql(conn, t, 512)?;
+            }
+            CteSchema {
+                columns: main.columns.iter().map(|c| c.name.clone()).collect(),
+                types: main.columns.iter().map(|c| c.data_type).collect(),
+            }
         }
-        iterations = snap.round;
-        last_updates = snap.last_change;
-        trace.event(
-            EventKind::Resume,
-            None,
-            Some(iterations),
-            format!("resumed single-threaded run at iteration {iterations}"),
-        );
-    } else {
-        schema = create_cte_table(conn, &cte.name, &cte.columns, &cte.seed, true, true)?;
-        if cte.termination.needs_delta_snapshot() {
-            refresh_delta_snapshot(conn, names)?;
+        None => {
+            let schema = create_cte_table(conn, &cte.name, &cte.columns, &cte.seed, true, true)?;
+            if cte.termination.needs_delta_snapshot() {
+                refresh_delta_snapshot(conn, names)?;
+            }
+            schema
         }
-        iterations = 0;
-        last_updates = 0;
-    }
+    };
+    ctx.begin_rounds();
+    let mut state = SingleState {
+        conn,
+        cte,
+        names,
+        schema,
+    };
+    rounds(&mut state, ctx).map_err(|e| ctx.govern(&mut state, e))
+}
 
+/// The rounds and the final query; every error is governed by the caller.
+fn rounds(state: &mut SingleState<'_>, ctx: &mut RunCtx<'_>) -> SqloopResult<QueryResult> {
+    let (cte, trace) = (ctx.cte, ctx.trace);
     // the hot loop's statements, prepared once: the scratch table is
     // created here and *emptied* (not recreated) every round, so the
     // INSERT/UPDATE plans survive in the engine's plan cache — per-round
     // DDL would invalidate them
-    let tmp = names.tmp();
-    let profile = conn.profile();
-    run(conn, &format!("DROP TABLE IF EXISTS {tmp}"))?;
+    let tmp = state.names.tmp();
+    let profile = state.conn.profile();
+    run(state.conn, &format!("DROP TABLE IF EXISTS {tmp}"))?;
     run(
-        conn,
-        &format!("CREATE TABLE {tmp} ({})", schema.create_columns_sql(true)),
+        state.conn,
+        &format!(
+            "CREATE TABLE {tmp} ({})",
+            state.schema.create_columns_sql(true)
+        ),
     )?;
     let mut clear_tmp =
         PreparedStatement::new(translate_sql(&format!("DELETE FROM {tmp}"), profile)?);
@@ -406,7 +299,7 @@ fn iterative_loop(
         step_sql
     ));
     // R := R ⟵ Rtmp matched on Rid (only Rid ∩ Rtmp_id rows change)
-    let assignments = schema.columns[1..]
+    let assignments = state.schema.columns[1..]
         .iter()
         .map(|c| format!("{c} = {tmp}.{c}"))
         .collect::<Vec<_>>()
@@ -415,41 +308,21 @@ fn iterative_loop(
         &format!(
             "UPDATE {r} SET {assignments} FROM {tmp} WHERE {r}.{k} = {tmp}.{k}",
             r = cte.name,
-            k = schema.key(),
+            k = state.schema.key(),
         ),
         profile,
     )?);
-    let mut probe = TerminationProbe::new(&cte.name, &cte.termination, profile)?;
-    let mut refresher = cte
-        .termination
-        .needs_delta_snapshot()
-        .then(|| DeltaRefresher::new(names, profile))
-        .transpose()?;
 
-    let mut cancelled = false;
     loop {
-        if cancel.cancelled() {
-            trace.event(
-                EventKind::Cancel,
-                None,
-                Some(iterations),
-                "cancelled at iteration boundary",
-            );
-            obs::global().counter("sqloop.cancelled_runs").inc();
-            if let Some(ck) = checkpointer.as_deref_mut() {
-                let snap = single_snapshot(conn, cte, names, &schema, iterations, last_updates)?;
-                let path = ck.save(&snap)?;
-                trace_checkpoint(trace, iterations, &path);
-            }
-            cancelled = true;
-            break;
-        }
+        let iteration = ctx.rounds + 1;
         let span_start = trace.now_us();
+        let conn = &mut *state.conn;
         // panic boundary: a panicking statement (an engine bug, an injected
         // chaos panic) must degrade into a typed error, never unwind
         // through the caller — the session is rolled back first so any
-        // locks the panic left held are released
-        let round_result =
+        // locks the panic left held are released. A memory-budget trip
+        // rolls its statement back, so R still holds the last round.
+        let updated =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> SqloopResult<u64> {
                 clear_tmp.execute(&mut *conn, &[])?;
                 fill_tmp.execute(&mut *conn, &[])?;
@@ -464,41 +337,19 @@ fn iterative_loop(
                 trace.event(
                     EventKind::Panic,
                     None,
-                    Some(iterations),
+                    Some(ctx.rounds),
                     format!("absorbed a panicking statement: {detail}"),
                 );
                 Err(SqloopError::WorkerPanic {
                     worker: None,
-                    detail: format!("single-threaded iteration {}: {detail}", iterations + 1),
+                    detail: format!("single-threaded iteration {iteration}: {detail}"),
                 })
-            });
-        let updated = match round_result {
-            Ok(u) => u,
-            // the engine's memory budget tripped mid-round; statement
-            // atomicity rolled the failed statement back, so R still holds
-            // round `iterations` — abort governed from that state
-            Err(e) => {
-                return Err(govern_failure(
-                    e,
-                    conn,
-                    cte,
-                    names,
-                    &schema,
-                    iterations,
-                    last_updates,
-                    trace,
-                    checkpointer.as_deref_mut(),
-                    governance,
-                ))
-            }
-        };
-        last_updates = updated;
-        iterations += 1;
+            })?;
         if trace.is_enabled() {
             trace.span(Span {
                 kind: SpanKind::Iteration,
                 partition: None,
-                iteration: Some(iterations),
+                iteration: Some(iteration),
                 worker: None,
                 attempt: 1,
                 rows: updated,
@@ -507,197 +358,13 @@ fn iterative_loop(
                 end_us: trace.now_us(),
             });
         }
-        cache_probe.tick(trace, iterations, "Single");
-
-        // the termination probe and delta refresh also run engine statements
-        // that can trip the memory budget — keep them governed too
-        let tail = probe
-            .satisfied(&mut *conn, iterations, last_updates)
-            .and_then(|done| {
-                if let Some(r) = refresher.as_mut() {
-                    r.refresh(&mut *conn)?;
-                }
-                Ok(done)
-            });
-        let done = match tail {
-            Ok(done) => done,
-            Err(e) => {
-                return Err(govern_failure(
-                    e,
-                    conn,
-                    cte,
-                    names,
-                    &schema,
-                    iterations,
-                    last_updates,
-                    trace,
-                    checkpointer.as_deref_mut(),
-                    governance,
-                ))
-            }
-        };
-        if done {
+        if ctx.end_round(state, updated)? != Verdict::Continue {
             break;
         }
-        let watchdog_verdict = match governance.watchdog.as_mut() {
-            Some(w) => w
-                .check_round(iterations, updated)
-                .and_then(|()| {
-                    w.probe_table(
-                        conn,
-                        &cte.name,
-                        &schema.columns,
-                        &schema.types,
-                        None,
-                        iterations,
-                    )
-                })
-                .err(),
-            None => None,
-        };
-        if let Some(verdict) = watchdog_verdict {
-            governed_abort(
-                conn,
-                cte,
-                names,
-                &schema,
-                iterations,
-                last_updates,
-                trace,
-                checkpointer.as_deref_mut(),
-                governance,
-                &verdict,
-            )?;
-            return Err(verdict);
-        }
-        if checkpointer.as_deref().is_some_and(|ck| ck.due(iterations)) {
-            let snap = match single_snapshot(conn, cte, names, &schema, iterations, last_updates) {
-                Ok(snap) => snap,
-                Err(e) => {
-                    return Err(govern_failure(
-                        e,
-                        conn,
-                        cte,
-                        names,
-                        &schema,
-                        iterations,
-                        last_updates,
-                        trace,
-                        checkpointer.as_deref_mut(),
-                        governance,
-                    ))
-                }
-            };
-            let ck = checkpointer
-                .as_deref_mut()
-                .expect("due implies checkpointer");
-            let path = ck.save(&snap)?;
-            trace_checkpoint(trace, iterations, &path);
-        }
-        if iterations >= max_iterations {
-            return Err(SqloopError::Semantic(format!(
-                "termination condition not satisfied within {max_iterations} iterations"
-            )));
-        }
     }
-    run(conn, &format!("DROP TABLE IF EXISTS {tmp}"))?;
-
-    let final_sql = translate_query_to_sql(&cte.final_query, conn.profile());
-    let result = match conn.query(&final_sql) {
-        Ok(r) => r,
-        Err(e) => {
-            return Err(govern_failure(
-                SqloopError::from(e),
-                conn,
-                cte,
-                names,
-                &schema,
-                iterations,
-                last_updates,
-                trace,
-                checkpointer,
-                governance,
-            ))
-        }
-    };
-    Ok(RunOutcome {
-        result,
-        iterations,
-        last_change: last_updates,
-        cancelled,
-    })
-}
-
-/// Converts an engine memory-budget trip anywhere in the loop into a
-/// governed abort, returning the typed verdict; every other error passes
-/// through unchanged. When the abort itself fails the original trip is
-/// surfaced so the failure is not masked.
-#[allow(clippy::too_many_arguments)]
-fn govern_failure(
-    e: SqloopError,
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    names: &CteNames,
-    schema: &CteSchema,
-    iterations: u64,
-    last_updates: u64,
-    trace: &TraceHandle,
-    checkpointer: Option<&mut Checkpointer>,
-    governance: &Governance<'_>,
-) -> SqloopError {
-    let SqloopError::Db(DbError::BudgetExceeded(m)) = e else {
-        return e;
-    };
-    let verdict = SqloopError::BudgetExceeded {
-        what: format!("memory ({m})"),
-        round: iterations,
-    };
-    match governed_abort(
-        conn,
-        cte,
-        names,
-        schema,
-        iterations,
-        last_updates,
-        trace,
-        checkpointer,
-        governance,
-        &verdict,
-    ) {
-        Ok(()) => verdict,
-        Err(_) => SqloopError::Db(DbError::BudgetExceeded(m)),
-    }
-}
-
-/// Lifts the engine memory limit, records the verdict, and writes a final
-/// checkpoint so a governed abort is always resumable under a larger budget.
-#[allow(clippy::too_many_arguments)]
-fn governed_abort(
-    conn: &mut dyn Connection,
-    cte: &IterativeCte,
-    names: &CteNames,
-    schema: &CteSchema,
-    iterations: u64,
-    last_updates: u64,
-    trace: &TraceHandle,
-    checkpointer: Option<&mut Checkpointer>,
-    governance: &Governance<'_>,
-    verdict: &SqloopError,
-) -> SqloopResult<()> {
-    governance.lift_memory_limit();
-    trace.event(
-        EventKind::Watchdog,
-        None,
-        Some(iterations),
-        format!("governed abort: {verdict}"),
-    );
-    obs::global().counter("sqloop.governed_aborts").inc();
-    if let Some(ck) = checkpointer {
-        let snap = single_snapshot(conn, cte, names, schema, iterations, last_updates)?;
-        let path = ck.save(&snap)?;
-        trace_checkpoint(trace, iterations, &path);
-    }
-    Ok(())
+    run(state.conn, &format!("DROP TABLE IF EXISTS {tmp}"))?;
+    let final_sql = translate_query_to_sql(&cte.final_query, profile);
+    Ok(state.conn.query(&final_sql)?)
 }
 
 fn cleanup(conn: &mut dyn Connection, names: &CteNames, keep: bool) -> SqloopResult<()> {
@@ -721,11 +388,14 @@ fn cleanup(conn: &mut dyn Connection, names: &CteNames, keep: bool) -> SqloopRes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ExecutionMode, SqloopConfig};
     use crate::grammar::{parse, SqloopQuery};
+    use crate::run::run_iterative;
     use dbcp::{Driver, LocalDriver};
     use sqldb::{Database, EngineProfile};
+    use std::sync::Arc;
 
-    fn conn_with_edges(profile: EngineProfile) -> Box<dyn Connection> {
+    fn driver_with_edges(profile: EngineProfile) -> Arc<dyn Driver> {
         let db = Database::new(profile);
         let mut s = db.connect();
         s.execute("CREATE TABLE edges (src INT, dst INT, weight FLOAT)")
@@ -736,7 +406,25 @@ mod tests {
              (1,2,0.5),(1,3,0.5),(2,3,1.0),(3,1,1.0),(4,1,1.0),(2,4,0.0)",
         )
         .ok();
-        LocalDriver::new(db).connect().unwrap()
+        Arc::new(LocalDriver::new(db))
+    }
+
+    fn conn_with_edges(profile: EngineProfile) -> Box<dyn Connection> {
+        driver_with_edges(profile).connect().unwrap()
+    }
+
+    fn run_single_on(
+        profile: EngineProfile,
+        cte: &IterativeCte,
+        max_iterations: u64,
+    ) -> SqloopResult<RunOutcome> {
+        let config = SqloopConfig {
+            mode: ExecutionMode::Single,
+            max_iterations,
+            ..SqloopConfig::default()
+        };
+        let driver = driver_with_edges(profile);
+        run_iterative(&driver, cte, None, &config, &obs::TraceHandle::disabled()).0
     }
 
     fn iterative(sql: &str) -> IterativeCte {
@@ -804,8 +492,7 @@ mod tests {
              UNTIL 50 ITERATIONS) \
              SELECT Node, Rank FROM PageRank ORDER BY Node",
         );
-        let mut c = conn_with_edges(EngineProfile::Postgres);
-        let out = run_iterative_single(c.as_mut(), &pr, 1000, false).unwrap();
+        let out = run_single_on(EngineProfile::Postgres, &pr, 1000).unwrap();
         assert_eq!(out.iterations, 50);
         assert_eq!(out.result.rows.len(), 4);
         // total rank approaches n * 0.15 / (1 - 0.85) = 4 (for a closed graph
@@ -832,8 +519,7 @@ mod tests {
              UNTIL 0 UPDATES) \
              SELECT sssp.Node, sssp.Distance FROM sssp ORDER BY sssp.Node",
         );
-        let mut c = conn_with_edges(EngineProfile::Postgres);
-        let out = run_iterative_single(c.as_mut(), &sssp, 1000, false).unwrap();
+        let out = run_single_on(EngineProfile::Postgres, &sssp, 1000).unwrap();
         // shortest distances from node 1: 1→2 = 0.5, 1→3 = 0.5, 1→4 = 0.5
         let rows = &out.result.rows;
         assert_eq!(rows[0], vec![Value::Int(1), Value::Float(0.0)]);
@@ -859,9 +545,8 @@ mod tests {
                  GROUP BY sssp.node UNTIL 0 UPDATES) \
                  SELECT sssp.Distance FROM sssp WHERE sssp.Node = 3",
             );
-            let mut c = conn_with_edges(profile);
-            let out = run_iterative_single(c.as_mut(), &sssp, 1000, false)
-                .unwrap_or_else(|e| panic!("{profile}: {e}"));
+            let out =
+                run_single_on(profile, &sssp, 1000).unwrap_or_else(|e| panic!("{profile}: {e}"));
             assert_eq!(out.result.rows[0][0], Value::Float(0.5), "{profile}");
         }
     }
@@ -882,8 +567,7 @@ mod tests {
              UNTIL DELTA SELECT SUM(pr.Rank) - SUM(prdelta.Rank) FROM pr, prdelta < 0.001) \
              SELECT SUM(Rank) FROM pr",
         );
-        let mut c = conn_with_edges(EngineProfile::Postgres);
-        let out = run_iterative_single(c.as_mut(), &pr, 1000, false).unwrap();
+        let out = run_single_on(EngineProfile::Postgres, &pr, 1000).unwrap();
         assert!(out.iterations > 5, "should take several iterations");
         assert!(out.iterations < 200);
     }
@@ -904,8 +588,7 @@ mod tests {
              UNTIL ANY SELECT Node FROM pr WHERE Rank > 0.5) \
              SELECT COUNT(*) FROM pr WHERE Rank > 0.5",
         );
-        let mut c = conn_with_edges(EngineProfile::Postgres);
-        let out = run_iterative_single(c.as_mut(), &pr, 1000, false).unwrap();
+        let out = run_single_on(EngineProfile::Postgres, &pr, 1000).unwrap();
         assert!(out.result.rows[0][0].as_i64().unwrap() >= 1);
     }
 
@@ -918,8 +601,7 @@ mod tests {
              UNTIL ANY SELECT id FROM r WHERE v < 0) \
              SELECT * FROM r",
         );
-        let mut c = conn_with_edges(EngineProfile::Postgres);
-        let err = run_iterative_single(c.as_mut(), &cte, 25, false);
+        let err = run_single_on(EngineProfile::Postgres, &cte, 25);
         assert!(matches!(err, Err(SqloopError::Semantic(_))), "{err:?}");
     }
 }

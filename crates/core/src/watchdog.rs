@@ -21,10 +21,10 @@
 //! termination: those runs update a constant number of rows per round by
 //! design, and their iteration bound already guarantees termination.
 //!
-//! Executors call the watchdog at round boundaries, where the PR-3 quiesce
-//! and final-checkpoint machinery already lives — so every verdict aborts
-//! the run *governed*: state is checkpointed and the run resumes under a
-//! larger budget or after the query is fixed.
+//! Every mode feeds the watchdog from its one round boundary
+//! (`RunCtx::end_round`), where the quiesce and final-checkpoint machinery
+//! lives — so every verdict aborts the run *governed*: state is checkpointed
+//! and the run resumes under a larger budget or after the query is fixed.
 
 use crate::common::run_query;
 use crate::error::{SqloopError, SqloopResult};
@@ -83,11 +83,6 @@ impl Watchdog {
     /// round-boundary bookkeeping entirely otherwise).
     pub fn is_active(&self) -> bool {
         self.cfg.is_active()
-    }
-
-    /// True when float aggregates should be probed each round.
-    pub fn numeric_checks(&self) -> bool {
-        self.cfg.numeric_checks
     }
 
     /// Feeds one completed round (`round` is 1-based, `updates` the rows
@@ -208,40 +203,6 @@ impl Watchdog {
 fn verdict(e: SqloopError) -> SqloopError {
     obs::global().counter("sqloop.watchdog.verdicts").inc();
     e
-}
-
-/// Governance hooks threaded into an executor run.
-#[derive(Default)]
-pub struct Governance<'a> {
-    /// Watchdog state for this run (`None` = no checks).
-    pub watchdog: Option<Watchdog>,
-    /// Lifts the engine memory limit before a governed abort writes its
-    /// final checkpoint — snapshotting needs headroom the exhausted
-    /// budget no longer provides. Resuming re-applies the (raised) limit.
-    pub lift_mem: Option<&'a (dyn Fn() + Sync)>,
-}
-
-impl std::fmt::Debug for Governance<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Governance")
-            .field("watchdog", &self.watchdog)
-            .field("lift_mem", &self.lift_mem.map(|_| "..."))
-            .finish()
-    }
-}
-
-impl Governance<'_> {
-    /// No governance: no watchdog, no memory limit to lift.
-    pub fn none() -> Governance<'static> {
-        Governance::default()
-    }
-
-    /// Lifts the engine memory limit, when a hook was provided.
-    pub fn lift_memory_limit(&self) {
-        if let Some(lift) = self.lift_mem {
-            lift();
-        }
-    }
 }
 
 #[cfg(test)]

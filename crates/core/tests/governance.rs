@@ -3,9 +3,14 @@
 //! valid final checkpoint behind, in every execution mode.
 
 use dbcp::LocalDriver;
+use obs::{EventKind, TraceData, TraceHandle};
 use sqldb::{Database, EngineProfile, Value};
 use sqloop::checkpoint::load_latest;
-use sqloop::{CheckpointConfig, ExecutionMode, PrioritySpec, SQLoop, SqloopConfig, SqloopError};
+use sqloop::{
+    analyze, parse, AnalysisOutcome, CheckpointConfig, ExecutionMode, PrioritySpec, RunOutcome,
+    SQLoop, SqloopConfig, SqloopError, SqloopQuery, SqloopResult,
+};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,6 +53,25 @@ WITH ITERATIVE sssp(Node, Distance, Delta) AS (
   UNTIL 0 UPDATES)
 SELECT Node, Distance FROM sssp ORDER BY Node";
 
+/// PageRank until the total rank moves less than 0.001 in a round. The
+/// `DELTA` probe cross-joins the CTE with its delta snapshot, so on a
+/// 300-node ring it needs far more engine memory than one round does.
+const PAGERANK_DELTA: &str = "\
+WITH ITERATIVE PageRank(Node, Rank, Delta) AS (
+  SELECT src, 0, 0.15
+  FROM (SELECT src FROM edges UNION SELECT dst FROM edges) AS alledges GROUP BY src
+  ITERATE
+  SELECT PageRank.Node,
+         COALESCE(PageRank.Rank + PageRank.Delta, 0.15),
+         COALESCE(0.85 * SUM(IncomingRank.Delta * IncomingEdges.weight), 0.0)
+  FROM PageRank
+  LEFT JOIN edges AS IncomingEdges ON PageRank.Node = IncomingEdges.dst
+  LEFT JOIN PageRank AS IncomingRank ON IncomingRank.Node = IncomingEdges.src
+  GROUP BY PageRank.Node
+  UNTIL DELTA SELECT SUM(PageRank.Rank) - SUM(PageRankdelta.Rank)
+        FROM PageRank, PageRankdelta < 0.001)
+SELECT Node, Rank FROM PageRank ORDER BY Node";
+
 /// Fresh database with a ring of `nodes` edges of the given `weight`.
 fn db_with_ring(nodes: u64, weight: &str) -> Database {
     let db = Database::new(EngineProfile::Postgres);
@@ -87,6 +111,30 @@ fn sqloop_for(db: &Database, mode: ExecutionMode, config: SqloopConfig) -> SQLoo
         config.priority = Some(PrioritySpec::highest("SELECT SUM(delta) FROM {}"));
     }
     SQLoop::new(Arc::new(LocalDriver::new(db.clone()))).with_config(config)
+}
+
+/// Runs `sql` through [`sqloop::run_iterative`] with tracing on, so the
+/// trace survives a failed run.
+fn traced_run(
+    db: &Database,
+    mode: ExecutionMode,
+    config: SqloopConfig,
+    sql: &str,
+) -> (SqloopResult<RunOutcome>, TraceData) {
+    let sq = sqloop_for(db, mode, config);
+    let Ok(SqloopQuery::Iterative(cte)) = parse(sql) else {
+        panic!("not an iterative CTE: {sql}");
+    };
+    let plan = match mode {
+        ExecutionMode::Single => None,
+        _ => match analyze(&cte, &cte.columns).unwrap() {
+            AnalysisOutcome::Parallelizable(plan) => Some(plan),
+            other => panic!("{mode}: not parallelizable: {other:?}"),
+        },
+    };
+    let trace = TraceHandle::new(true);
+    let (result, _) = sqloop::run_iterative(sq.driver(), &cte, plan, sq.config(), &trace);
+    (result, trace.data().expect("trace enabled"))
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -138,6 +186,87 @@ fn diverging_pagerank_aborts_typed_with_a_valid_checkpoint() {
         let snap = load_latest(&dir).unwrap_or_else(|e| panic!("{mode}: no checkpoint: {e}"));
         assert!(!snap.tables.is_empty(), "{mode}: snapshot carries no state");
         assert!(snap.round >= 1, "{mode}: snapshot before any round");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The watchdog runs before the checkpoint at a round boundary, so a
+/// verdict on a checkpoint-due round writes that round's snapshot once —
+/// the governed abort's — not twice.
+#[test]
+fn a_verdict_on_a_checkpoint_round_writes_one_snapshot() {
+    for mode in ALL_MODES {
+        let db = db_with_ring(24, "1e100");
+        let dir = temp_dir(&format!("once-{mode}"));
+        let mut config = SqloopConfig::default();
+        config.watchdog.numeric_checks = true;
+        config.checkpoint = Some(CheckpointConfig::new(&dir).every(1));
+        let (result, trace) = traced_run(&db, mode, config, PAGERANK);
+        let round = match result {
+            Err(SqloopError::NumericDivergence { round, .. }) => round,
+            other => panic!("{mode}: expected numeric divergence, got {other:?}"),
+        };
+        let mut writes: BTreeMap<u64, usize> = BTreeMap::new();
+        for e in trace
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Checkpoint)
+        {
+            *writes.entry(e.iteration.unwrap_or(0)).or_default() += 1;
+        }
+        assert!(writes.values().all(|&n| n == 1), "{mode}: {writes:?}");
+        assert_eq!(writes.get(&round), Some(&1), "{mode}: {writes:?}");
+        assert_eq!(writes.len() as u64, round, "{mode}: {writes:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A memory-budget trip on the master connection — here the `DELTA`
+/// termination probe, outside any worker task — aborts governed in every
+/// mode: the error is typed, the final checkpoint loads, and resuming
+/// without a limit reaches the uninterrupted fixpoint.
+#[test]
+fn master_side_budget_trips_abort_governed_in_every_mode() {
+    for mode in ALL_MODES {
+        let oracle = sqloop_for(&db_with_ring(300, "0.5"), mode, SqloopConfig::default())
+            .execute(PAGERANK_DELTA)
+            .unwrap_or_else(|e| panic!("{mode}: uninterrupted run failed: {e}"));
+        assert_eq!(oracle.rows.len(), 300, "{mode}");
+
+        let db = db_with_ring(300, "0.5");
+        let dir = temp_dir(&format!("probe-mem-{mode}"));
+        let config = SqloopConfig {
+            max_mem: Some(1 << 20),
+            // no periodic snapshot: the only one is the governed abort's
+            checkpoint: Some(CheckpointConfig::new(&dir).every(1_000)),
+            ..SqloopConfig::default()
+        };
+        match sqloop_for(&db, mode, config).execute(PAGERANK_DELTA) {
+            Err(SqloopError::BudgetExceeded { ref what, .. }) => {
+                assert!(what.contains("memory"), "{mode}: {what}");
+            }
+            other => panic!("{mode}: expected a typed memory budget abort, got {other:?}"),
+        }
+        let snap = load_latest(&dir).unwrap_or_else(|e| panic!("{mode}: no checkpoint: {e}"));
+        assert!(!snap.tables.is_empty(), "{mode}: snapshot carries no state");
+
+        let config = SqloopConfig {
+            resume_from: Some(dir.clone()),
+            ..SqloopConfig::default()
+        };
+        let resumed = sqloop_for(&db, mode, config)
+            .execute(PAGERANK_DELTA)
+            .unwrap_or_else(|e| panic!("{mode}: resume failed: {e}"));
+        assert_eq!(resumed.rows.len(), oracle.rows.len(), "{mode}");
+        for (a, b) in oracle.rows.iter().zip(&resumed.rows) {
+            assert_eq!(a[0], b[0], "{mode}: node sets differ");
+            let (x, y) = (a[1].as_f64().unwrap(), b[1].as_f64().unwrap());
+            assert!(
+                (x - y).abs() < 1e-3,
+                "{mode}: node {:?} rank {x} vs {y}",
+                a[0]
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -97,6 +97,83 @@ fn parallel_trace_spans_match_report_counters() {
     }
 }
 
+const ALL_MODES: [ExecutionMode; 4] = [
+    ExecutionMode::Single,
+    ExecutionMode::Sync,
+    ExecutionMode::Async,
+    ExecutionMode::AsyncPrio,
+];
+
+/// The round-boundary events of a run, in order, with their round.
+fn boundary_events(data: &TraceData) -> Vec<(EventKind, u64)> {
+    data.events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::Round
+                    | EventKind::PlanCache
+                    | EventKind::Checkpoint
+                    | EventKind::Watchdog
+            )
+        })
+        .map(|e| (e.kind, e.iteration.unwrap_or(0)))
+        .collect()
+}
+
+/// Every mode passes each counted round through the same boundary, in the
+/// same order, for every Table I termination form: round `r` emits
+/// `Round(r)`, `PlanCache(r)` and — when checkpointing every round — one
+/// `Checkpoint(r)`, except the round that ends the run. The rounds are
+/// numbered 1, 2, … without gaps or repeats, so their count is
+/// `report.iterations`, and `UNTIL n ITERATIONS` counts exactly n.
+#[test]
+fn every_mode_emits_the_same_round_boundaries_for_every_termination_form() {
+    let graph = graphgen::web_graph(50, 3, 3);
+    let data_query = workloads::queries::pagerank(6).replace(
+        "UNTIL 6 ITERATIONS",
+        "UNTIL ANY SELECT Node FROM PageRank WHERE Rank > 0.3",
+    );
+    let cases = [
+        ("ITERATIONS", workloads::queries::pagerank(6)),
+        ("UPDATES", workloads::queries::sssp_all(0)),
+        ("DATA", data_query),
+        ("DELTA", workloads::queries::pagerank_until_converged(0.01)),
+    ];
+    for (mode, checkpoint) in ALL_MODES.into_iter().flat_map(|m| [(m, false), (m, true)]) {
+        for (tc, query) in &cases {
+            let dir = std::env::temp_dir().join(format!(
+                "sqloop-boundary-{mode}-{tc}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut config = traced(mode);
+            config.checkpoint = checkpoint.then(|| sqloop::CheckpointConfig::new(&dir).every(1));
+            let report = SQLoop::new(loaded_driver(&graph))
+                .with_config(config)
+                .execute_detailed(query)
+                .unwrap_or_else(|e| panic!("{mode} {tc}: {e}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let n = report.iterations;
+            if *tc == "ITERATIONS" {
+                assert_eq!(n, 6, "{mode} {tc}: iterations");
+            }
+            assert!(n >= 1, "{mode} {tc}: no round ran");
+            let mut expected = Vec::new();
+            for r in 1..=n {
+                expected.push((EventKind::Round, r));
+                expected.push((EventKind::PlanCache, r));
+                if checkpoint && r < n {
+                    expected.push((EventKind::Checkpoint, r));
+                }
+            }
+            let data = report.trace_data.as_ref().expect("trace enabled");
+            let label = format!("{mode} {tc} checkpoint={checkpoint}");
+            assert_eq!(boundary_events(data), expected, "{label}");
+        }
+    }
+}
+
 #[test]
 fn single_threaded_trace_records_one_span_per_iteration() {
     let graph = graphgen::web_graph(30, 3, 2);
